@@ -71,48 +71,8 @@ bool constant_time_equal(ByteView a, ByteView b) {
   return acc == 0;
 }
 
-void put_u16be(Bytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-void put_u32be(Bytes& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-void put_u64be(Bytes& out, std::uint64_t v) {
-  put_u32be(out, static_cast<std::uint32_t>(v >> 32));
-  put_u32be(out, static_cast<std::uint32_t>(v));
-}
-
-namespace {
-void check_range(ByteView in, std::size_t offset, std::size_t n) {
-  if (offset + n > in.size()) {
-    throw std::out_of_range("byte read past end of buffer");
-  }
-}
-}  // namespace
-
-std::uint16_t get_u16be(ByteView in, std::size_t offset) {
-  check_range(in, offset, 2);
-  return static_cast<std::uint16_t>((in[offset] << 8) | in[offset + 1]);
-}
-
-std::uint32_t get_u32be(ByteView in, std::size_t offset) {
-  check_range(in, offset, 4);
-  return (static_cast<std::uint32_t>(in[offset]) << 24) |
-         (static_cast<std::uint32_t>(in[offset + 1]) << 16) |
-         (static_cast<std::uint32_t>(in[offset + 2]) << 8) |
-         static_cast<std::uint32_t>(in[offset + 3]);
-}
-
-std::uint64_t get_u64be(ByteView in, std::size_t offset) {
-  check_range(in, offset, 8);
-  return (static_cast<std::uint64_t>(get_u32be(in, offset)) << 32) |
-         get_u32be(in, offset + 4);
+void throw_read_past_end() {
+  throw std::out_of_range("byte read past end of buffer");
 }
 
 void secure_wipe(MutableByteView buf) {

@@ -42,15 +42,84 @@ Bytes concat(std::initializer_list<ByteView> parts);
 /// mismatch without early exit on content.
 bool constant_time_equal(ByteView a, ByteView b);
 
-// --- Big-endian integer packing (wire formats) ------------------------------
+// --- Big-endian loads/stores and packing (wire formats) ---------------------
 
-void put_u16be(Bytes& out, std::uint16_t v);
-void put_u32be(Bytes& out, std::uint32_t v);
-void put_u64be(Bytes& out, std::uint64_t v);
+inline void store_u16be(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+}
 
-std::uint16_t get_u16be(ByteView in, std::size_t offset);
-std::uint32_t get_u32be(ByteView in, std::size_t offset);
-std::uint64_t get_u64be(ByteView in, std::size_t offset);
+inline void store_u32be(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 24);
+  p[1] = static_cast<std::uint8_t>(v >> 16);
+  p[2] = static_cast<std::uint8_t>(v >> 8);
+  p[3] = static_cast<std::uint8_t>(v);
+}
+
+inline void store_u64be(std::uint8_t* p, std::uint64_t v) {
+  store_u32be(p, static_cast<std::uint32_t>(v >> 32));
+  store_u32be(p + 4, static_cast<std::uint32_t>(v));
+}
+
+inline std::uint16_t load_u16be(const std::uint8_t* p) {
+  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+}
+
+inline std::uint32_t load_u32be(const std::uint8_t* p) {
+  return (static_cast<std::uint32_t>(p[0]) << 24) |
+         (static_cast<std::uint32_t>(p[1]) << 16) |
+         (static_cast<std::uint32_t>(p[2]) << 8) |
+         static_cast<std::uint32_t>(p[3]);
+}
+
+inline std::uint64_t load_u64be(const std::uint8_t* p) {
+  return (static_cast<std::uint64_t>(load_u32be(p)) << 32) |
+         load_u32be(p + 4);
+}
+
+/// Appends `v` to `out` big-endian.
+inline void put_u16be(Bytes& out, std::uint16_t v) {
+  const std::size_t at = out.size();
+  out.resize(at + 2);
+  store_u16be(out.data() + at, v);
+}
+
+inline void put_u32be(Bytes& out, std::uint32_t v) {
+  const std::size_t at = out.size();
+  out.resize(at + 4);
+  store_u32be(out.data() + at, v);
+}
+
+inline void put_u64be(Bytes& out, std::uint64_t v) {
+  const std::size_t at = out.size();
+  out.resize(at + 8);
+  store_u64be(out.data() + at, v);
+}
+
+/// Throws std::out_of_range; the cold path of check_range.
+[[noreturn]] void throw_read_past_end();
+
+/// Throws std::out_of_range unless `n` bytes at `offset` lie inside `in`.
+/// Written so that `offset + n` cannot wrap.
+inline void check_range(ByteView in, std::size_t offset, std::size_t n) {
+  if (offset > in.size() || n > in.size() - offset) throw_read_past_end();
+}
+
+/// Big-endian reads at `offset`; throw std::out_of_range past the end.
+inline std::uint16_t get_u16be(ByteView in, std::size_t offset) {
+  check_range(in, offset, 2);
+  return load_u16be(in.data() + offset);
+}
+
+inline std::uint32_t get_u32be(ByteView in, std::size_t offset) {
+  check_range(in, offset, 4);
+  return load_u32be(in.data() + offset);
+}
+
+inline std::uint64_t get_u64be(ByteView in, std::size_t offset) {
+  check_range(in, offset, 8);
+  return load_u64be(in.data() + offset);
+}
 
 // --- Little-endian loads/stores (crypto kernels) -----------------------------
 

@@ -33,12 +33,6 @@ constexpr std::size_t kSubjectOffset = 0;
 constexpr std::size_t kDtAliveOffset = 5;
 constexpr std::size_t kDtSinceOffset = 13;
 
-void store_u64be(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<std::uint8_t>(v >> (8 * (7 - i)));
-  }
-}
-
 // True when the payload is structurally a record-bearing gossip message:
 // the declared record count exactly accounts for every byte past the
 // header. Digest/repair-control messages (whose bodies are bucket hashes,

@@ -149,10 +149,6 @@ class Environment {
   std::unique_ptr<obs::Registry> owned_metrics_;
   obs::Registry* metrics_ = nullptr;
   bool attached_trace_clock_ = false;
-  std::unique_ptr<sim::PeriodicTask> obs_sampler_;
-  std::unique_ptr<sim::PeriodicTask> timeseries_sampler_;
-  std::unique_ptr<sim::PeriodicTask> membership_sampler_;
-  std::unique_ptr<sim::PeriodicTask> overload_sampler_;
   // Last-seen merge-stat / control-stat values, so the sampler can
   // increment registry counters by delta instead of overwriting.
   membership::NodeCache::MergeStats last_merge_stats_;
@@ -167,6 +163,13 @@ class Environment {
   std::unique_ptr<membership::MembershipProvider> membership_;
   std::unique_ptr<anon::OnionCodec> onion_;
   std::unique_ptr<anon::AnonRouter> router_;
+  // Declared after simulator_ (and everything they sample) so they are
+  // destroyed first: a PeriodicTask cancels its pending event on
+  // destruction, which needs a live Simulator.
+  std::unique_ptr<sim::PeriodicTask> obs_sampler_;
+  std::unique_ptr<sim::PeriodicTask> timeseries_sampler_;
+  std::unique_ptr<sim::PeriodicTask> membership_sampler_;
+  std::unique_ptr<sim::PeriodicTask> overload_sampler_;
 };
 
 }  // namespace p2panon::harness

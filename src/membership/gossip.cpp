@@ -29,25 +29,13 @@ std::uint64_t mix64(std::uint64_t x) {
 }
 }  // namespace
 
-void encode_record(Bytes& out, NodeId subject, const LivenessInfo& info) {
-  put_u32be(out, subject);
-  out.push_back(info.alive ? 1 : 0);
-  put_u64be(out, static_cast<std::uint64_t>(info.dt_alive));
-  put_u64be(out, static_cast<std::uint64_t>(info.dt_since));
-}
-
 bool decode_records(ByteView in, std::size_t offset, std::size_t count,
                     std::vector<DecodedRecord>& out) {
-  if (offset + count * kRecordWireSize > in.size()) return false;
+  if (!records_fit(in, offset, count)) return false;
   out.reserve(out.size() + count);
-  for (std::size_t i = 0; i < count; ++i) {
-    DecodedRecord rec;
-    rec.subject = get_u32be(in, offset);
-    rec.info.alive = in[offset + 4] != 0;
-    rec.info.dt_alive = static_cast<SimDuration>(get_u64be(in, offset + 5));
-    rec.info.dt_since = static_cast<SimDuration>(get_u64be(in, offset + 13));
-    out.push_back(rec);
-    offset += kRecordWireSize;
+  for (const std::uint8_t* p = in.data() + offset;
+       count > 0; --count, p += kRecordWireSize) {
+    out.push_back(load_record(p));
   }
   return true;
 }
@@ -171,11 +159,9 @@ void GossipMembership::on_churn(NodeId node, bool up, SimTime when) {
     for (NodeId contact : contacts) {
       send_records(node, contact, kKindGossip, {});
       if (!sync_requested) {
-        Bytes req;
-        req.push_back(kKindSyncRequest);
-        demux_.send(net::Channel::kGossip, node, contact, req);
-        ++messages_sent_;
-        bytes_sent_ += req.size();
+        Bytes req = net::Demux::frame(net::Channel::kGossip, 1);
+        req[1] = kKindSyncRequest;
+        send_datagram(node, contact, std::move(req));
         sync_requested = true;
       }
     }
@@ -221,9 +207,9 @@ void GossipMembership::enqueue_rumor(NodeId owner, NodeId subject) {
   rumor_queues_[owner].push_back(Rumor{subject, config_.rumor_forwards});
 }
 
-std::vector<NodeId> GossipMembership::pick_gossip_targets(NodeId node,
-                                                          std::size_t count,
-                                                          Rng& rng) {
+void GossipMembership::pick_gossip_targets(NodeId node, std::size_t count,
+                                           Rng& rng,
+                                           std::vector<NodeId>& out) {
   // Believed-alive cache entries, found by rejection sampling: with the
   // near-complete caches OneHop-style membership maintains, a random node
   // id is a valid target about half the time, so this avoids building a
@@ -231,8 +217,7 @@ std::vector<NodeId> GossipMembership::pick_gossip_targets(NodeId node,
   // whole simulation).
   const NodeCache& cache = caches_[node];
   const std::size_t n = caches_.size();
-  std::vector<NodeId> out;
-  out.reserve(count);
+  out.clear();
   for (std::size_t attempt = 0; attempt < 16 * count + 64 && out.size() < count;
        ++attempt) {
     const NodeId candidate = static_cast<NodeId>(rng.next_below(n));
@@ -248,46 +233,37 @@ std::vector<NodeId> GossipMembership::pick_gossip_targets(NodeId node,
     }
     if (!duplicate) out.push_back(candidate);
   }
-  return out;
 }
 
 void GossipMembership::send_records(NodeId from, NodeId to,
                                     std::uint8_t kind,
                                     const std::vector<NodeId>& subjects) {
   const SimTime now = simulator_.now();
-  Bytes msg;
-  msg.reserve(3 + (subjects.size() + 1) * kRecordWireSize);
-  msg.push_back(kind);
-
+  const NodeCache& cache = caches_[from];
+  RecordWriter writer(kind, subjects.size() + 1);
   // Sender's own record always rides along ("includes dt_alive in every
   // packet it sends").
-  std::vector<std::pair<NodeId, LivenessInfo>> records;
-  records.reserve(subjects.size() + 1);
-  LivenessInfo own;
-  own.alive = true;
-  own.dt_alive = own_uptime(from);
-  own.dt_since = 0;
-  records.emplace_back(from, own);
+  writer.add(from, LivenessInfo{own_uptime(from), 0, true});
   for (NodeId subject : subjects) {
     if (subject == from) continue;
-    const auto obs = caches_[from].observation(subject, now);
-    if (obs.has_value()) records.emplace_back(subject, *obs);
+    const auto obs = cache.observation(subject, now);
+    if (obs.has_value()) writer.add(subject, *obs);
   }
+  send_datagram(from, to, writer.finish());
+}
 
-  put_u16be(msg, static_cast<std::uint16_t>(records.size()));
-  for (const auto& [subject, info] : records) {
-    encode_record(msg, subject, info);
-  }
-  demux_.send(net::Channel::kGossip, from, to, msg);
+void GossipMembership::send_datagram(NodeId from, NodeId to, Bytes datagram) {
   ++messages_sent_;
-  bytes_sent_ += msg.size();
+  bytes_sent_ += datagram.size() - 1;  // the channel byte is Demux framing
+  demux_.send_frame(from, to, std::move(datagram));
 }
 
 void GossipMembership::gossip_tick(NodeId node) {
   if (!churn_.is_up(node)) return;
 
   // Drain up to max_rumors from the hot queue.
-  std::vector<NodeId> subjects;
+  std::vector<NodeId>& subjects = round_subjects_;
+  subjects.clear();
   auto& queue = rumor_queues_[node];
   auto& members = rumor_members_[node];
   std::size_t scanned = 0;
@@ -322,8 +298,9 @@ void GossipMembership::gossip_tick(NodeId node) {
   }
   refresh_cursors_[node] = cursor;
 
-  for (NodeId target :
-       pick_gossip_targets(node, config_.fanout, decision_rng(node))) {
+  pick_gossip_targets(node, config_.fanout, decision_rng(node),
+                      round_targets_);
+  for (NodeId target : round_targets_) {
     send_records(node, target, kKindGossip, subjects);
   }
 }
@@ -354,23 +331,22 @@ std::vector<std::uint64_t> GossipMembership::compute_digest(
 void GossipMembership::send_digest(NodeId from, NodeId to,
                                    std::uint8_t kind) {
   const auto buckets = compute_digest(from);
-  Bytes msg;
-  msg.reserve(3 + buckets.size() * 8);
-  msg.push_back(kind);
-  put_u16be(msg, static_cast<std::uint16_t>(buckets.size()));
-  for (std::uint64_t b : buckets) put_u64be(msg, b);
-  demux_.send(net::Channel::kGossip, from, to, msg);
-  ++messages_sent_;
-  bytes_sent_ += msg.size();
+  Bytes msg = net::Demux::frame(net::Channel::kGossip, 3 + buckets.size() * 8);
+  msg[1] = kind;
+  store_u16be(msg.data() + 2, static_cast<std::uint16_t>(buckets.size()));
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    store_u64be(msg.data() + 4 + b * 8, buckets[b]);
+  }
+  send_datagram(from, to, std::move(msg));
   ++control_stats_.digests_sent;
 }
 
 void GossipMembership::anti_entropy_tick(NodeId node) {
   if (!churn_.is_up(node)) return;
-  const auto partners = pick_gossip_targets(node, 1, node_rngs_[node]);
-  if (partners.empty()) return;
+  pick_gossip_targets(node, 1, node_rngs_[node], round_targets_);
+  if (round_targets_.empty()) return;
   ++control_stats_.anti_entropy_rounds;
-  send_digest(node, partners.front(), kKindDigest);
+  send_digest(node, round_targets_.front(), kKindDigest);
 }
 
 void GossipMembership::handle_digest(NodeId from, NodeId to, ByteView payload,
@@ -451,14 +427,15 @@ void GossipMembership::handle_message(NodeId from, NodeId to,
   if (kind != kKindGossip && kind != kKindSyncResponse && kind != kKindRepair) {
     return;
   }
-  if (payload.size() < 3) return;
+  if (payload.size() < kRecordHeaderSize) return;
   const std::size_t count = get_u16be(payload, 1);
-  std::vector<DecodedRecord> records;
-  if (!decode_records(payload, 3, count, records)) return;
+  if (!records_fit(payload, kRecordHeaderSize, count)) return;
 
+  // Records are decoded in place, straight out of the datagram.
   NodeCache& cache = caches_[to];
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& rec = records[i];
+  const std::uint8_t* wire = payload.data() + kRecordHeaderSize;
+  for (std::size_t i = 0; i < count; ++i, wire += kRecordWireSize) {
+    const DecodedRecord rec = load_record(wire);
     if (rec.subject == to) continue;
     const auto* prior = cache.find(rec.subject);
     const bool prior_alive = prior != nullptr && prior->alive;

@@ -19,6 +19,8 @@
 
 #include <deque>
 #include <memory>
+#include <stdexcept>
+#include <utility>
 #include <unordered_set>
 #include <vector>
 
@@ -129,9 +131,12 @@ class GossipMembership final : public MembershipProvider {
   void send_records(NodeId from, NodeId to, std::uint8_t kind,
                     const std::vector<NodeId>& subjects);
   void send_digest(NodeId from, NodeId to, std::uint8_t kind);
+  /// Sends a Demux::frame() datagram and counts its payload bytes.
+  void send_datagram(NodeId from, NodeId to, Bytes datagram);
   std::vector<std::uint64_t> compute_digest(NodeId node) const;
-  std::vector<NodeId> pick_gossip_targets(NodeId node, std::size_t count,
-                                          Rng& rng);
+  /// Fills `out` with up to `count` distinct believed-alive peers.
+  void pick_gossip_targets(NodeId node, std::size_t count, Rng& rng,
+                           std::vector<NodeId>& out);
   /// The stream a node's own decisions draw from: its private stream in
   /// per-node mode, the instance-shared stream otherwise.
   Rng& decision_rng(NodeId node) {
@@ -155,6 +160,10 @@ class GossipMembership final : public MembershipProvider {
   // extra from rng_.
   std::vector<Rng> node_rngs_;
 
+  // Per-round scratch reused by gossip_tick, so a round allocates nothing.
+  std::vector<NodeId> round_subjects_;
+  std::vector<NodeId> round_targets_;
+
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
   ControlStats control_stats_;
@@ -162,20 +171,93 @@ class GossipMembership final : public MembershipProvider {
 };
 
 // --- Wire helpers shared with the OneHop variant ------------------------------
+//
+// A record-bearing payload is [kind u8][count u16be][count records]; on the
+// wire it follows the demux channel byte.
 
 /// Serialized liveness record: subject(4) flags(1) dt_alive(8) dt_since(8).
 constexpr std::size_t kRecordWireSize = 21;
+/// Payload bytes ahead of the first record: kind(1) count(2).
+constexpr std::size_t kRecordHeaderSize = 3;
 
-void encode_record(Bytes& out, NodeId subject, const LivenessInfo& info);
+/// Writes one record at `p`, which must have kRecordWireSize bytes.
+inline void store_record(std::uint8_t* p, NodeId subject,
+                         const LivenessInfo& info) {
+  store_u32be(p, subject);
+  p[4] = info.alive ? 1 : 0;
+  store_u64be(p + 5, static_cast<std::uint64_t>(info.dt_alive));
+  store_u64be(p + 13, static_cast<std::uint64_t>(info.dt_since));
+}
+
+/// Appends one record to `out`.
+inline void encode_record(Bytes& out, NodeId subject,
+                          const LivenessInfo& info) {
+  const std::size_t at = out.size();
+  out.resize(at + kRecordWireSize);
+  store_record(out.data() + at, subject, info);
+}
 
 struct DecodedRecord {
   NodeId subject;
   LivenessInfo info;
 };
 
+/// Reads one record at `p`, which must have kRecordWireSize bytes.
+inline DecodedRecord load_record(const std::uint8_t* p) {
+  DecodedRecord rec;
+  rec.subject = load_u32be(p);
+  rec.info.alive = p[4] != 0;
+  rec.info.dt_alive = static_cast<SimDuration>(load_u64be(p + 5));
+  rec.info.dt_since = static_cast<SimDuration>(load_u64be(p + 13));
+  return rec;
+}
+
+/// True when `count` records starting at `offset` lie inside `in`. Written
+/// so that neither `count * kRecordWireSize` nor the sum can wrap.
+inline bool records_fit(ByteView in, std::size_t offset, std::size_t count) {
+  return offset <= in.size() &&
+         count <= (in.size() - offset) / kRecordWireSize;
+}
+
 /// Decodes `count` records from `in` starting at `offset`; returns false on
 /// truncation.
 bool decode_records(ByteView in, std::size_t offset, std::size_t count,
                     std::vector<DecodedRecord>& out);
+
+/// Builds one record-bearing gossip-channel datagram in place: the frame
+/// is sized once for `max_records`, records are stored straight into it,
+/// and finish() writes the count and trims the unused tail.
+class RecordWriter {
+ public:
+  RecordWriter(std::uint8_t kind, std::size_t max_records)
+      : datagram_(net::Demux::frame(
+            net::Channel::kGossip,
+            kRecordHeaderSize + max_records * kRecordWireSize)) {
+    datagram_[1] = kind;
+  }
+
+  void add(NodeId subject, const LivenessInfo& info) {
+    const std::size_t at = kFirstRecord + count_ * kRecordWireSize;
+    if (at + kRecordWireSize > datagram_.size()) {
+      throw std::logic_error("RecordWriter: more records than reserved");
+    }
+    store_record(datagram_.data() + at, subject, info);
+    ++count_;
+  }
+
+  std::size_t count() const { return count_; }
+
+  /// The finished datagram, channel byte included.
+  Bytes finish() {
+    store_u16be(datagram_.data() + 2, static_cast<std::uint16_t>(count_));
+    datagram_.resize(kFirstRecord + count_ * kRecordWireSize);
+    return std::move(datagram_);
+  }
+
+ private:
+  static constexpr std::size_t kFirstRecord = 1 + kRecordHeaderSize;
+  Bytes datagram_;
+  std::size_t count_ = 0;
+};
 
 }  // namespace p2panon::membership

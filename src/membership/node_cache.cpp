@@ -99,23 +99,6 @@ double NodeCache::predictor(NodeId node, SimTime now) const {
   return liveness_predictor(e.dt_alive, e.dt_since, e.t_last, now);
 }
 
-std::optional<LivenessInfo> NodeCache::observation(NodeId node,
-                                                   SimTime now) const {
-  const Entry& e = entries_.at(node);
-  if (!e.known) return std::nullopt;
-  LivenessInfo info;
-  info.alive = e.alive;
-  info.dt_alive = e.dt_alive;
-  info.dt_since = e.dt_since + (now - e.t_last);
-  return info;
-}
-
-const NodeCache::Entry* NodeCache::find(NodeId node) const {
-  if (node >= entries_.size()) return nullptr;
-  const Entry& e = entries_[node];
-  return e.known ? &e : nullptr;
-}
-
 std::vector<NodeId> NodeCache::known_nodes() const {
   std::vector<NodeId> out;
   out.reserve(known_count_);

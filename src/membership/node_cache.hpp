@@ -109,9 +109,22 @@ class NodeCache {
 
   /// The observation we would gossip about `node` right now: stored record
   /// with local staleness folded into dt_since. nullopt when unknown.
-  std::optional<LivenessInfo> observation(NodeId node, SimTime now) const;
+  std::optional<LivenessInfo> observation(NodeId node, SimTime now) const {
+    const Entry& e = entries_.at(node);
+    if (!e.known) return std::nullopt;
+    LivenessInfo info;
+    info.alive = e.alive;
+    info.dt_alive = e.dt_alive;
+    info.dt_since = e.dt_since + (now - e.t_last);
+    return info;
+  }
 
-  const Entry* find(NodeId node) const;
+  /// The entry for `node`; nullptr when unknown or out of range.
+  const Entry* find(NodeId node) const {
+    if (node >= entries_.size()) return nullptr;
+    const Entry& e = entries_[node];
+    return e.known ? &e : nullptr;
+  }
   std::size_t known_count() const { return known_count_; }
   std::size_t capacity() const { return entries_.size(); }
 

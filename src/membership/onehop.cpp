@@ -1,6 +1,7 @@
 #include "membership/onehop.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "membership/gossip.hpp"  // record wire helpers
 #include "obs/capacity/census.hpp"
@@ -151,47 +152,39 @@ SimDuration OneHopMembership::own_uptime(NodeId node) const {
 }
 
 void OneHopMembership::send_snapshot(NodeId leader, NodeId joiner) {
+  constexpr std::size_t kChunk = 512;  // records per snapshot datagram
   const SimTime now = simulator_.now();
-  const auto known = caches_[leader].known_nodes();
-  Bytes msg;
-  std::vector<std::pair<NodeId, LivenessInfo>> records;
-  for (NodeId subject : known) {
+  const NodeCache& cache = caches_[leader];
+  const auto known = cache.known_nodes();
+  std::optional<RecordWriter> writer;
+  for (std::size_t i = 0; i < known.size(); ++i) {
+    const NodeId subject = known[i];
     if (subject == joiner) continue;
-    const auto obs = caches_[leader].observation(subject, now);
-    if (obs.has_value()) records.emplace_back(subject, *obs);
-    if (records.size() == 512) {
-      // Chunk very large snapshots.
-      msg.clear();
-      msg.push_back(kKindKeepalive);
-      put_u16be(msg, static_cast<std::uint16_t>(records.size()));
-      for (const auto& [s, info] : records) encode_record(msg, s, info);
-      demux_.send(net::Channel::kGossip, leader, joiner, msg);
-      ++messages_sent_;
-      bytes_sent_ += msg.size();
-      records.clear();
+    const auto obs = cache.observation(subject, now);
+    if (!obs.has_value()) continue;
+    if (!writer) {
+      writer.emplace(kKindKeepalive, std::min(kChunk, known.size() - i));
+    }
+    writer->add(subject, *obs);
+    if (writer->count() == kChunk) {
+      send_datagram(leader, joiner, writer->finish());
+      writer.reset();
     }
   }
-  if (!records.empty()) {
-    msg.clear();
-    msg.push_back(kKindKeepalive);
-    put_u16be(msg, static_cast<std::uint16_t>(records.size()));
-    for (const auto& [s, info] : records) encode_record(msg, s, info);
-    demux_.send(net::Channel::kGossip, leader, joiner, msg);
-    ++messages_sent_;
-    bytes_sent_ += msg.size();
-  }
+  if (writer) send_datagram(leader, joiner, writer->finish());
 }
 
 void OneHopMembership::send_event(NodeId from, NodeId to, std::uint8_t kind,
                                   NodeId subject, const LivenessInfo& info) {
-  Bytes msg;
-  msg.reserve(1 + kRecordWireSize);
-  msg.push_back(kind);
-  put_u16be(msg, 1);
-  encode_record(msg, subject, info);
-  demux_.send(net::Channel::kGossip, from, to, msg);
+  RecordWriter writer(kind, 1);
+  writer.add(subject, info);
+  send_datagram(from, to, writer.finish());
+}
+
+void OneHopMembership::send_datagram(NodeId from, NodeId to, Bytes datagram) {
   ++messages_sent_;
-  bytes_sent_ += msg.size();
+  bytes_sent_ += datagram.size() - 1;  // the channel byte is Demux framing
+  demux_.send_frame(from, to, std::move(datagram));
 }
 
 void OneHopMembership::on_churn(NodeId node, bool up, SimTime when) {
@@ -276,23 +269,13 @@ void OneHopMembership::keepalive_send(NodeId leader, std::size_t unit,
   const SimTime now = simulator_.now();
   const auto [begin, end] = unit_range(unit);
 
-  Bytes msg;
-  msg.push_back(kKindKeepalive);
-  std::vector<std::pair<NodeId, LivenessInfo>> records;
-  records.reserve(pending.size() + 1);
-  LivenessInfo own;
-  own.alive = true;
-  own.dt_alive = own_uptime(leader);
-  own.dt_since = 0;
-  records.emplace_back(leader, own);
+  RecordWriter writer(kKindKeepalive, pending.size() + 1);
+  writer.add(leader, LivenessInfo{own_uptime(leader), 0, true});
   for (NodeId subject : pending) {
     const auto obs = caches_[leader].observation(subject, now);
-    if (obs.has_value()) records.emplace_back(subject, *obs);
+    if (obs.has_value()) writer.add(subject, *obs);
   }
-  put_u16be(msg, static_cast<std::uint16_t>(records.size()));
-  for (const auto& [subject, info] : records) {
-    encode_record(msg, subject, info);
-  }
+  const Bytes msg = writer.finish();
 
   for (std::size_t member = begin; member < end; ++member) {
     const NodeId id = static_cast<NodeId>(member);
@@ -306,9 +289,7 @@ void OneHopMembership::keepalive_send(NodeId leader, std::size_t unit,
     } else if (!churn_.is_up(id)) {
       continue;
     }
-    demux_.send(net::Channel::kGossip, leader, id, msg);
-    ++messages_sent_;
-    bytes_sent_ += msg.size();
+    send_datagram(leader, id, msg);
   }
   pending.clear();
 }
@@ -351,22 +332,13 @@ void OneHopMembership::announce_leader(NodeId node, std::size_t unit) {
   // every lower-id unit member (the predecessors it believes dead), so
   // receivers that still trusted a dead predecessor converge in one hop
   // instead of timing each predecessor out in sequence.
-  Bytes msg;
-  msg.push_back(kKindLeaderAnnounce);
-  std::vector<std::pair<NodeId, LivenessInfo>> records;
-  LivenessInfo own;
-  own.alive = true;
-  own.dt_alive = own_uptime(node);
-  own.dt_since = 0;
-  records.emplace_back(node, own);
+  RecordWriter writer(kKindLeaderAnnounce, node - begin + 1);
+  writer.add(node, LivenessInfo{own_uptime(node), 0, true});
   for (std::size_t id = begin; id < static_cast<std::size_t>(node); ++id) {
     const auto obs = caches_[node].observation(static_cast<NodeId>(id), now);
-    if (obs.has_value()) records.emplace_back(static_cast<NodeId>(id), *obs);
+    if (obs.has_value()) writer.add(static_cast<NodeId>(id), *obs);
   }
-  put_u16be(msg, static_cast<std::uint16_t>(records.size()));
-  for (const auto& [subject, info] : records) {
-    encode_record(msg, subject, info);
-  }
+  const Bytes msg = writer.finish();
 
   // Unit members we believe alive, plus every other unit's believed leader
   // (so inter-leader event routing finds us).
@@ -375,29 +347,24 @@ void OneHopMembership::announce_leader(NodeId node, std::size_t unit) {
     if (id == node) continue;
     const auto* entry = caches_[node].find(id);
     if (entry == nullptr || !entry->alive) continue;
-    demux_.send(net::Channel::kGossip, node, id, msg);
-    ++messages_sent_;
-    bytes_sent_ += msg.size();
+    send_datagram(node, id, msg);
     ++control_stats_.leader_announcements;
   }
   for (std::size_t other = 0; other < config_.units; ++other) {
     if (other == unit) continue;
     const NodeId peer = believed_leader(node, other);
     if (peer == kInvalidNode) continue;
-    demux_.send(net::Channel::kGossip, node, peer, msg);
-    ++messages_sent_;
-    bytes_sent_ += msg.size();
+    send_datagram(node, peer, msg);
     ++control_stats_.leader_announcements;
   }
 }
 
 void OneHopMembership::handle_message(NodeId from, NodeId to,
                                       ByteView payload) {
-  if (!churn_.is_up(to) || payload.size() < 3) return;
+  if (!churn_.is_up(to) || payload.size() < kRecordHeaderSize) return;
   const std::uint8_t kind = payload[0];
   const std::size_t count = get_u16be(payload, 1);
-  std::vector<DecodedRecord> records;
-  if (!decode_records(payload, 3, count, records)) return;
+  if (!records_fit(payload, kRecordHeaderSize, count)) return;
   const SimTime now = simulator_.now();
 
   // Failover mode: a keepalive or announcement from a same-unit peer is
@@ -409,8 +376,9 @@ void OneHopMembership::handle_message(NodeId from, NodeId to,
   }
 
   NodeCache& cache = caches_[to];
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const auto& rec = records[i];
+  const std::uint8_t* wire = payload.data() + kRecordHeaderSize;
+  for (std::size_t i = 0; i < count; ++i, wire += kRecordWireSize) {
+    const DecodedRecord rec = load_record(wire);
     if (rec.subject == to) continue;
     if (i == 0 && rec.subject == from && rec.info.dt_since == 0) {
       cache.heard_directly(from, rec.info.dt_alive, now);

@@ -106,6 +106,8 @@ class OneHopMembership final : public MembershipProvider {
   void send_event(NodeId from, NodeId to, std::uint8_t kind, NodeId subject,
                   const LivenessInfo& info);
   void send_snapshot(NodeId leader, NodeId joiner);
+  /// Sends a Demux::frame() datagram and counts its payload bytes.
+  void send_datagram(NodeId from, NodeId to, Bytes datagram);
   /// The unit's id range [begin, end).
   std::pair<std::size_t, std::size_t> unit_range(std::size_t unit) const;
 

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "net/transport.hpp"
@@ -33,6 +34,20 @@ class Demux {
 
   /// Sends `payload` on `channel` (prepends the channel byte).
   void send(Channel channel, NodeId from, NodeId to, ByteView payload);
+
+  /// A datagram for `channel` with room for `payload_size` bytes after the
+  /// channel byte, for callers that write their payload in place and hand
+  /// the buffer to send_frame() without a copy.
+  static Bytes frame(Channel channel, std::size_t payload_size) {
+    Bytes datagram(payload_size + 1);
+    datagram[0] = static_cast<std::uint8_t>(channel);
+    return datagram;
+  }
+
+  /// Sends a datagram built by frame() as it is.
+  void send_frame(NodeId from, NodeId to, Bytes datagram) {
+    transport_.send(from, to, std::move(datagram));
+  }
 
   /// Registers the handler for a channel across all nodes. One handler per
   /// channel; later registrations replace earlier ones.

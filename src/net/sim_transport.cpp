@@ -97,35 +97,51 @@ void SimTransport::send(NodeId from, NodeId to, Bytes payload) {
     delay = static_cast<SimDuration>(static_cast<double>(delay) * factor);
   }
   delay_us_->record(static_cast<std::uint64_t>(delay));
+  std::uint32_t slot;
+  if (free_in_flight_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
+  }
+  in_flight_[slot] = InFlight{from, to, std::move(payload)};
   static const auto kDeliverEvent = obs::capacity::event_type("net.deliver");
   simulator_.schedule_after(
-      delay,
-      [this, from, to, data = std::move(payload)]() {
-        if (!liveness_(to)) {
-          drop_receiver_dead_->inc();
-          if (obs::Tracer::instance().enabled()) {
-            trace_drop("receiver_dead", from, to);
-          }
-          return;
-        }
-        const Handler& handler = handlers_[to];
-        if (handler) {
-          // Tap before dispatch: a relay forwards synchronously inside the
-          // handler, so tapping here keeps "delivery into x" ahead of
-          // "forward send from x" in the flow log at equal sim time.
-          if (tap_ != nullptr) {
-            tap_->on_deliver(from, to, data.size() + per_hop_overhead_,
-                             tap_meta(simulator_.now(), data));
-          }
-          handler(from, to, data);
-        } else {
-          drop_no_handler_->inc();
-          if (obs::Tracer::instance().enabled()) {
-            trace_drop("no_handler", from, to);
-          }
-        }
-      },
-      kDeliverEvent);
+      delay, [this, slot] { deliver(slot); }, kDeliverEvent);
+}
+
+void SimTransport::deliver(std::uint32_t slot) {
+  // Take the datagram out and free the slot before dispatch: the handler
+  // may send, which can grow in_flight_.
+  InFlight& parked = in_flight_[slot];
+  const NodeId from = parked.from;
+  const NodeId to = parked.to;
+  const Bytes data = std::move(parked.data);
+  free_in_flight_.push_back(slot);
+  if (!liveness_(to)) {
+    drop_receiver_dead_->inc();
+    if (obs::Tracer::instance().enabled()) {
+      trace_drop("receiver_dead", from, to);
+    }
+    return;
+  }
+  const Handler& handler = handlers_[to];
+  if (handler) {
+    // Tap before dispatch: a relay forwards synchronously inside the
+    // handler, so tapping here keeps "delivery into x" ahead of "forward
+    // send from x" in the flow log at equal sim time.
+    if (tap_ != nullptr) {
+      tap_->on_deliver(from, to, data.size() + per_hop_overhead_,
+                       tap_meta(simulator_.now(), data));
+    }
+    handler(from, to, data);
+  } else {
+    drop_no_handler_->inc();
+    if (obs::Tracer::instance().enabled()) {
+      trace_drop("no_handler", from, to);
+    }
+  }
 }
 
 void SimTransport::register_handler(NodeId node, Handler handler) {

@@ -85,6 +85,16 @@ class SimTransport final : public Transport {
   void reset_counters();
 
  private:
+  /// A datagram between send() and its delivery event.
+  struct InFlight {
+    NodeId from = kInvalidNode;
+    NodeId to = kInvalidNode;
+    Bytes data;
+  };
+
+  /// Delivery event body for the datagram parked in `slot`.
+  void deliver(std::uint32_t slot);
+
   sim::Simulator& simulator_;
   const LatencyMatrix& latency_;
   LivenessOracle liveness_;
@@ -92,6 +102,11 @@ class SimTransport final : public Transport {
   LinkFaultConfig faults_;
   Rng fault_rng_;
   std::vector<Handler> handlers_;
+  // Datagrams in flight, indexed by slot, so the delivery event captures
+  // only {this, slot}: that fits std::function's inline buffer and a send
+  // allocates nothing beyond the datagram itself.
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
   obs::Registry* metrics_;
   LinkTap* tap_ = nullptr;
   obs::Counter* messages_sent_;

@@ -5,8 +5,8 @@
 // Every scheduled event carries a small EventTypeId (interned once per
 // subsystem at component-construction time via event_type("net.deliver")).
 // The profiler counts every dispatch, but only times one in `sample_stride`
-// of them with a steady_clock pair, scaling the sampled self-time back up
-// at report time. That keeps the hot loop at ~two increments per untimed
+// of them with a clock pair (the x86 time-stamp counter, else
+// steady_clock), scaling the sampled self-time back up at report time. That keeps the hot loop at ~two increments per untimed
 // event, and the profiler measures its own cost: the clock-pair price is
 // calibrated at construction and reported as an overhead estimate so the
 // scale gate can hold the probe under its <3% budget.
@@ -101,12 +101,13 @@ class LoopProfiler {
   struct Slot {
     std::uint64_t dispatches = 0;
     std::uint64_t samples = 0;
-    std::uint64_t sampled_ns = 0;
+    std::uint64_t sampled_ticks = 0;  // sample-clock ticks, see ns_per_tick_
   };
 
   std::uint32_t stride_;
   std::uint32_t tick_ = 0;
-  double clock_pair_ns_;
+  double ns_per_tick_ = 1.0;    // calibrated against steady_clock
+  double clock_pair_ns_ = 0.0;
   Slot slots_[kMaxEventTypes];
 };
 

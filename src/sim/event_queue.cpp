@@ -1,5 +1,6 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -7,48 +8,67 @@ namespace p2panon::sim {
 
 EventId EventQueue::schedule(SimTime when, Callback fn,
                              obs::capacity::EventTypeId type) {
-  const EventId id = next_id_++;
-  heap_.push(
-      Entry{when, id, std::move(fn), obs::current_correlation(), type});
-  live_.insert(id);
-  return id;
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.corr = obs::current_correlation();
+  s.type = type;
+  heap_.push_back(Key{when, next_seq_++, slot, s.gen});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++live_;
+  return (static_cast<EventId>(s.gen) << 32) | slot;
 }
 
-bool EventQueue::cancel(EventId id) {
-  // Erasing from live_ turns the heap entry into a tombstone; it is skipped
-  // when it reaches the top.
-  return live_.erase(id) > 0;
+void EventQueue::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.fn = nullptr;
+  if (++s.gen == 0) s.gen = 1;
+  free_.push_back(slot);
+  --live_;
 }
 
-void EventQueue::drop_tombstone_head() {
-  while (!heap_.empty() && live_.count(heap_.top().id) == 0) {
-    heap_.pop();
+void EventQueue::drop_stale_head() {
+  while (!heap_.empty() && stale(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
   }
 }
 
 SimTime EventQueue::next_time() {
-  drop_tombstone_head();
+  drop_stale_head();
   if (heap_.empty()) return kNeverTime;
-  return heap_.top().time;
+  return heap_.front().time;
 }
 
 EventQueue::Ready EventQueue::pop() {
-  drop_tombstone_head();
+  drop_stale_head();
   if (heap_.empty()) {
     throw std::logic_error("EventQueue::pop on empty queue");
   }
-  // priority_queue::top() returns const&; copy the entry out (the callback
-  // is a std::function whose copy is cheap relative to event dispatch) and
-  // then discard the heap slot.
-  Entry top = heap_.top();
-  heap_.pop();
-  live_.erase(top.id);
-  return Ready{top.time, top.id, std::move(top.fn), top.corr, top.type};
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key top = heap_.back();
+  heap_.pop_back();
+  Slot& s = slots_[top.slot];
+  Ready ready{top.time, (static_cast<EventId>(top.gen) << 32) | top.slot,
+              std::move(s.fn), s.corr, s.type};
+  release(top.slot);
+  return ready;
 }
 
 void EventQueue::clear() {
-  heap_ = {};
-  live_.clear();
+  // Free live slots (bumping their generations) rather than dropping the
+  // table, so ids issued before the clear never match a later event.
+  for (const Key& key : heap_) {
+    if (!stale(key)) release(key.slot);
+  }
+  heap_.clear();
 }
 
 }  // namespace p2panon::sim

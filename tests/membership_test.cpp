@@ -12,6 +12,7 @@
 #include "membership/onehop.hpp"
 #include "net/demux.hpp"
 #include "net/latency_matrix.hpp"
+#include "net/loopback_transport.hpp"
 #include "net/sim_transport.hpp"
 #include "sim/simulator.hpp"
 
@@ -441,6 +442,44 @@ TEST(GossipWireTest, RecordRoundTrip) {
   // Truncated input rejected.
   std::vector<DecodedRecord> out;
   EXPECT_FALSE(decode_records(buffer, 0, 2, out));
+}
+
+TEST(GossipWireTest, SyncResponseDatagramBytesArePinned) {
+  // One send_records datagram (sender's own record + 3 subjects), captured
+  // off a LoopbackTransport. The hex was recorded from the original
+  // record-vector encoder, so any rewrite of the writer must reproduce it.
+  constexpr std::size_t kNodes = 4;
+  sim::Simulator simulator;
+  churn::ExponentialLifetime dist(1e9);
+  churn::ChurnModel churn_model(simulator, kNodes, dist, Rng(1), 1.0);
+  net::LoopbackTransport transport(kNodes);
+  net::Demux demux(transport, kNodes);
+  GossipConfig config;
+  config.interval = 1000 * kHour;  // no periodic round before the request
+  GossipMembership gossip(simulator, demux, churn_model, config, Rng(2));
+  gossip.start();
+  simulator.run_until(90 * kMinute + 1234567);
+  const SimTime now = simulator.now();
+
+  // Varied records: an indirect alive record, a directly observed leave
+  // and one untouched seeded record.
+  LivenessInfo indirect;
+  indirect.alive = true;
+  indirect.dt_alive = 7 * kHour + 89;
+  indirect.dt_since = 3 * kSecond + 5;
+  ASSERT_TRUE(gossip.cache(0).merge_indirect(2, indirect, now));
+  gossip.cache(0).heard_left_directly(3, now - 5 * kSecond);
+  ASSERT_EQ(transport.queued(), 0u);
+
+  Bytes captured;
+  transport.register_handler(
+      1, [&](NodeId, NodeId, const Bytes& datagram) { captured = datagram; });
+  demux.send(net::Channel::kGossip, 1, 0, Bytes{2});  // sync request
+  transport.deliver_all();
+  EXPECT_EQ(to_hex(captured),
+            "0103000400000000010000000141f04c8700000000000000000000000101"
+            "00000000000000000000000141f04c87000000020100000005de097c5900"
+            "000000002dc6c50000000300000000000000000000000000004c4b40");
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // randomized reference-model check of the event queue.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <stdexcept>
 
 #include "anon/onion.hpp"
 #include "anon/protocols.hpp"
@@ -71,6 +73,36 @@ TEST(ParserFuzzTest, GossipRecordsSurviveJunk) {
     EXPECT_NO_THROW(membership::decode_records(
         junk, 0, junk.empty() ? 0 : junk[0], out));
   }
+}
+
+TEST(ParserFuzzTest, ByteReadsNearSizeMaxThrowInsteadOfWrapping) {
+  // offset + n wraps past zero for these offsets; the range check must
+  // still see the read as past the end.
+  const Bytes buffer(16, 0xab);
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(get_u16be(buffer, kMax - 1), std::out_of_range);
+  EXPECT_THROW(get_u32be(buffer, kMax - 2), std::out_of_range);
+  EXPECT_THROW(get_u64be(buffer, kMax), std::out_of_range);
+  EXPECT_THROW(get_u64be(buffer, kMax - 7), std::out_of_range);
+  EXPECT_EQ(get_u64be(buffer, 8), 0xababababababababULL);
+  EXPECT_THROW(get_u64be(buffer, 9), std::out_of_range);
+}
+
+TEST(ParserFuzzTest, GossipRecordCountThatWrapsIsRejected) {
+  // count * kRecordWireSize wraps to 5 for this count, which a short
+  // buffer would satisfy; decode must report truncation, not throw.
+  const Bytes buffer(64, 0x11);
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const std::size_t count = kMax / membership::kRecordWireSize + 1;
+  std::vector<membership::DecodedRecord> out;
+  bool ok = true;
+  EXPECT_NO_THROW(ok = membership::decode_records(buffer, 0, count, out));
+  EXPECT_FALSE(ok);
+  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(membership::decode_records(buffer, kMax, 1, out));
+  EXPECT_FALSE(membership::decode_records(buffer, kMax - 4, 1, out));
+  EXPECT_TRUE(membership::decode_records(buffer, 1, 3, out));
+  EXPECT_EQ(out.size(), 3u);
 }
 
 TEST(ParserFuzzTest, BitFlippedValidStructuresParseOrRejectCleanly) {

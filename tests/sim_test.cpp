@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event engine.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -61,6 +62,99 @@ TEST(EventQueueTest, SizeTracksLiveEvents) {
   EXPECT_EQ(queue.size(), 1u);
   queue.pop();
   EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueTest, StaleIdAfterSlotReuseDoesNotCancel) {
+  EventQueue queue;
+  const EventId cancelled = queue.schedule(1, [] {});
+  ASSERT_TRUE(queue.cancel(cancelled));
+  const EventId reused = queue.schedule(2, [] {});  // takes the freed slot
+  EXPECT_NE(reused, cancelled);
+  EXPECT_FALSE(queue.cancel(cancelled));
+  EXPECT_TRUE(queue.pending(reused));
+
+  // The same after a fire: the fired id must not reach the slot's next
+  // event.
+  queue.pop().fn();
+  const EventId next = queue.schedule(3, [] {});
+  EXPECT_FALSE(queue.cancel(reused));
+  EXPECT_TRUE(queue.pending(next));
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.next_time(), 3);
+}
+
+TEST(EventQueueTest, PendingFalseAfterFireAndAfterCancel) {
+  EventQueue queue;
+  const EventId fired = queue.schedule(1, [] {});
+  const EventId cancelled = queue.schedule(2, [] {});
+  EXPECT_TRUE(queue.pending(fired));
+  EXPECT_TRUE(queue.pending(cancelled));
+  const auto ready = queue.pop();
+  EXPECT_EQ(ready.id, fired);
+  EXPECT_FALSE(queue.pending(fired));
+  EXPECT_TRUE(queue.cancel(cancelled));
+  EXPECT_FALSE(queue.pending(cancelled));
+  EXPECT_FALSE(queue.pending(kInvalidEventId));
+}
+
+TEST(EventQueueTest, CancelDestroysCallbackAtOnce) {
+  EventQueue queue;
+  auto token = std::make_shared<int>(0);
+  const EventId id = queue.schedule(5, [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  ASSERT_TRUE(queue.cancel(id));
+  EXPECT_EQ(token.use_count(), 1);  // not held until the tombstone surfaces
+}
+
+TEST(EventQueueTest, ClearDropsEverything) {
+  EventQueue queue;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 8; ++i) ids.push_back(queue.schedule(i, [] {}));
+  queue.cancel(ids[3]);
+  queue.clear();
+  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.next_time(), kNeverTime);
+  for (EventId id : ids) EXPECT_FALSE(queue.pending(id));
+  // Ids from before the clear stay dead once their slots are reused.
+  bool ran = false;
+  const EventId fresh = queue.schedule(1, [&] { ran = true; });
+  for (EventId id : ids) EXPECT_FALSE(queue.cancel(id));
+  EXPECT_TRUE(queue.pending(fresh));
+  queue.pop().fn();
+  EXPECT_TRUE(ran);
+}
+
+TEST(EventQueueTest, ScheduledTotalUnchangedByCancels) {
+  EventQueue queue;
+  const EventId a = queue.schedule(1, [] {});
+  const EventId b = queue.schedule(2, [] {});
+  queue.schedule(3, [] {});
+  EXPECT_EQ(queue.scheduled_total(), 3u);
+  queue.cancel(a);
+  queue.cancel(b);
+  EXPECT_EQ(queue.scheduled_total(), 3u);
+  queue.pop();
+  EXPECT_EQ(queue.scheduled_total(), 3u);
+}
+
+TEST(EventQueueTest, SameTimeInsertionOrderAcrossSlotReuse) {
+  // Freed slots come back in LIFO order, not insertion order; firing must
+  // still follow insertion order among equal times.
+  EventQueue queue;
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 6; ++i) {
+    ids.push_back(queue.schedule(7, [&fired, i] { fired.push_back(i); }));
+  }
+  queue.cancel(ids[1]);
+  queue.cancel(ids[4]);
+  queue.cancel(ids[2]);
+  for (int i = 6; i < 10; ++i) {
+    queue.schedule(7, [&fired, i] { fired.push_back(i); });
+  }
+  while (!queue.empty()) queue.pop().fn();
+  EXPECT_EQ(fired, (std::vector<int>{0, 3, 5, 6, 7, 8, 9}));
 }
 
 TEST(SimulatorTest, TimeAdvancesWithEvents) {
