@@ -1,10 +1,21 @@
-// Chaos sweep: delivered fraction under every scripted fault scenario,
-// fixed 5 s timeouts (the paper's configuration) vs the adaptive
-// RTO/backoff mode, averaged over seeds.
+// Chaos sweep: deterministic grids of chaos runs, averaged over seeds.
 //
-// A pinned SimEra(4,2) pair exchanges a 512 B message every 5 s through a
-// 96-node network while the scenario's FaultPlan runs (see
-// harness/chaos_experiment.hpp). Reported per scenario x mode:
+// `--sweep` picks the grid; every grid is one declarative table entry below
+// (axes, a per-cell config builder, the harness runner, a default seed
+// count, and the columns that fold a cell's runs into table cells and
+// `--json` values), driven by one engine (`run_sweep`):
+//
+//   scenario    (default) delivered fraction under every scripted fault
+//               scenario, fixed 5 s timeouts (the paper's configuration)
+//               vs the adaptive RTO/backoff mode;
+//   byzantine   corrupted-relay quorum x protocol x integrity defense arm;
+//   membership  control-plane faults x recovery arm (durability harness);
+//   overload    workload shape x protocol x shed/drop relay arm;
+//   anonymity   passive global observer x protocol x {f grid, cover, churn}.
+//
+// The scenario grid pins a SimEra(4,2) pair exchanging a 512 B message
+// every 5 s through a 96-node network while the scenario's FaultPlan runs
+// (see harness/chaos_experiment.hpp). Reported per scenario x mode:
 //   * attempted delivery — delivered / send_message calls. Charges a mode
 //     for refusing sends while its paths are down, so stalling cannot
 //     hide behind a shrunken denominator;
@@ -22,9 +33,15 @@
 // attaches a windowed sampler (30 s windows over every registry series)
 // and --health prints the rolling health scoreboard (churn storms,
 // per-cause drop peaks, stalled paths) and adds its summary to --json.
+//
+// Every sweep's JSON is gated by scripts/check_bench.py.
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <span>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/config.hpp"
@@ -44,6 +61,283 @@ using namespace p2panon::harness;
 
 namespace {
 
+// --- the grid engine -------------------------------------------------------
+
+/// A folded cell value; counts stay uint64 in the JSON, rates stay double.
+using Num = std::variant<std::uint64_t, double>;
+
+/// What one column contributes for one grid cell.
+struct Emitted {
+  std::string text;                                      // table cell
+  std::vector<std::pair<std::string, Num>> values = {};  // stem -> value
+};
+
+/// One grid cell as a column sees it.
+template <class R>
+struct CellRuns {
+  std::span<const R> runs;    // ascending run order: float sums are stable
+  const obs::Labels& labels;  // axis header -> this cell's label
+  obs::Registry& metrics;     // the sweep's aggregate registry
+
+  template <class Get>
+  std::uint64_t total(Get get) const {
+    std::uint64_t sum = 0;
+    for (const R& r : runs) {
+      sum += static_cast<std::uint64_t>(std::invoke(get, r));
+    }
+    return sum;
+  }
+  template <class Get>
+  double sum(Get get) const {
+    double sum = 0.0;
+    for (const R& r : runs) sum += static_cast<double>(std::invoke(get, r));
+    return sum;
+  }
+  template <class Get>
+  double mean(Get get) const {
+    return sum(get) / static_cast<double>(runs.size());
+  }
+};
+
+Emitted emit(std::string text, const char* key, Num value) {
+  Emitted out{std::move(text), {}};
+  if (key != nullptr) out.values.emplace_back(key, value);
+  return out;
+}
+
+template <class R>
+struct Column {
+  const char* header;  // table heading; nullptr = JSON values only
+  std::function<Emitted(const CellRuns<R>&)> fold;
+
+  /// Sums an integer field over the runs; `key` (if set) records the
+  /// total as a uint64 value.
+  template <class Get>
+  static Column count(const char* header, const char* key, Get get) {
+    return {header, [=](const CellRuns<R>& cell) {
+              const std::uint64_t n = cell.total(get);
+              return emit(std::to_string(n), key, n);
+            }};
+  }
+  /// Averages a field over the runs, shown with `digits` decimals.
+  template <class Get>
+  static Column mean(const char* header, const char* key, Get get,
+                     int digits) {
+    return {header, [=](const CellRuns<R>& cell) {
+              const double m = cell.mean(get);
+              return emit(format_double(m, digits), key, m);
+            }};
+  }
+  /// Averages a [0, 1] rate over the runs, shown as a percentage.
+  template <class Get>
+  static Column percent(const char* header, Get get) {
+    return {header, [=](const CellRuns<R>& cell) {
+              const double n = static_cast<double>(cell.runs.size());
+              return Emitted{format_double(100.0 * cell.sum(get) / n, 1) +
+                             "%"};
+            }};
+  }
+};
+
+template <class R>
+struct TableSpec {
+  const char* section;  // --json section name
+  const char* caption;  // printed above the table; nullptr = none
+  std::vector<Column<R>> columns;
+};
+
+/// Axis labels: `name(item)` for each item, in order.
+template <class T, std::size_t N, class Name>
+std::vector<std::string> labels_of(const T (&items)[N], Name name) {
+  std::vector<std::string> labels;
+  for (const T& item : items) labels.push_back(name(item));
+  return labels;
+}
+
+struct Axis {
+  const char* header;               // table column and metrics label name
+  std::vector<std::string> labels;  // table cell per point
+  std::vector<std::string> slugs = {};  // values-key parts; {} = labels
+};
+
+template <class Config, class Result>
+struct Sweep {
+  const char* bench;           // BenchReport name
+  std::string title;           // header line; the seed count is appended
+  std::size_t default_seeds;   // runs per cell when --seeds is 0
+  std::vector<Axis> axes;      // cells in row-major order, last axis fastest
+  std::function<Config(const std::vector<std::size_t>& at,
+                       std::uint64_t seed)>
+      config;
+  Result (*run)(const Config&);
+  std::vector<TableSpec<Result>> tables;
+  const char* reading;
+  /// Spells this sweep's knobs out at their defaults on the control config;
+  /// when set, the engine runs the off-means-off fingerprint guard.
+  std::function<void(ChaosConfig&)> spell_defaults = {};
+  bool report_nodes = false;    // add the `nodes` value
+  bool export_metrics = false;  // attach the aggregate registry to --json
+};
+
+struct SweepOptions {
+  std::uint64_t seed;
+  std::size_t seeds;  // 0 = the sweep's default
+  std::size_t nodes;
+  std::size_t workers;
+  std::string json_path;
+  std::string flow_log;
+};
+
+std::uint64_t violations(const ChaosResult& r) {
+  return r.messages_unaccounted + r.total_leaks() +
+         (r.ledger_closed() ? 0 : 1);
+}
+
+/// ChaosResult::fingerprint() of tiny_chaos(3) — 64 nodes, seed 3,
+/// mild-loss-drizzle, warmup 5 min, measure 6 min, 1 KB every 10 s,
+/// SimEra(4,2)/random — captured before the membership-resilience features
+/// landed. The control guard reruns that exact config and must reproduce
+/// this string while every newer knob sits at its default.
+constexpr const char* kPrePrFingerprint =
+    "1:35:19:17:4:13:0:26:20:1:5:6:60:0:0:0:0:0:0:0:171:0:0:0:0:173:0:0:0:"
+    "12:45782:4:0:0:0:0:0:0";
+
+ChaosConfig control_chaos_config() {
+  ChaosConfig config;
+  config.environment.num_nodes = 64;
+  config.environment.seed = 3;
+  config.scenario = ChaosScenario::kMildLossDrizzle;
+  config.warmup = 5 * kMinute;
+  config.measure = 6 * kMinute;
+  config.send_interval = 10 * kSecond;
+  config.spec = anon::ProtocolSpec::simera(4, 2, anon::MixChoice::kRandom);
+  return config;
+}
+
+/// Off means off: the pre-PR control run, once with factory defaults and
+/// once after `spell` writes a sweep's knobs out at their default values —
+/// both fingerprints must match the committed baseline byte for byte, or a
+/// default drifted.
+bool control_fingerprint_guard(const std::function<void(ChaosConfig&)>& spell,
+                               obs::BenchReport& report) {
+  const ChaosResult control_default =
+      run_chaos_experiment(control_chaos_config());
+  ChaosConfig spelled = control_chaos_config();
+  spell(spelled);
+  const ChaosResult control_spelled = run_chaos_experiment(spelled);
+  const bool ok = control_default.fingerprint() == kPrePrFingerprint &&
+                  control_spelled.fingerprint() == kPrePrFingerprint;
+  std::printf("control fingerprint: %s\n",
+              ok ? "MATCHES pre-PR baseline" : "MISMATCH vs pre-PR baseline");
+  if (!ok) {
+    std::printf("  pre-PR:  %s\n  default: %s\n  spelled: %s\n",
+                kPrePrFingerprint, control_default.fingerprint().c_str(),
+                control_spelled.fingerprint().c_str());
+  }
+  report.add_text("pre_pr_fingerprint", kPrePrFingerprint);
+  report.add_text("control_fingerprint", control_default.fingerprint());
+  report.add_text("control_fingerprint_spelled",
+                  control_spelled.fingerprint());
+  report.add("fingerprint_match", static_cast<std::uint64_t>(ok ? 1 : 0));
+  return ok;
+}
+
+/// Runs every cell x seed of `sweep` on the worker pool, folds each cell's
+/// runs through the columns, prints the tables and writes the --json report.
+template <class Config, class Result>
+int run_sweep(const Sweep<Config, Result>& sweep, const SweepOptions& opts) {
+  const std::size_t seeds = opts.seeds > 0 ? opts.seeds : sweep.default_seeds;
+  const auto runs = std::max<std::size_t>(
+      1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
+  std::size_t cells = 1;
+  for (const Axis& axis : sweep.axes) cells *= axis.labels.size();
+  auto coords = [&](std::size_t cell) {
+    std::vector<std::size_t> at(sweep.axes.size());
+    for (std::size_t a = at.size(); a-- > 0;) {
+      at[a] = cell % sweep.axes[a].labels.size();
+      cell /= sweep.axes[a].labels.size();
+    }
+    return at;
+  };
+
+  std::printf("%s, %zu seeds per cell\n", sweep.title.c_str(), runs);
+
+  // Job i is cell i / runs at seed + i % runs.
+  std::vector<Result> results(cells * runs);
+  parallel_for(results.size(), opts.workers, [&](std::size_t i) {
+    results[i] =
+        sweep.run(sweep.config(coords(i / runs), opts.seed + i % runs));
+  });
+
+  obs::BenchReport report(sweep.bench);
+  obs::Registry aggregate;
+  std::vector<metrics::Table> tables;
+  for (const TableSpec<Result>& spec : sweep.tables) {
+    std::vector<std::string> header;
+    for (const Axis& axis : sweep.axes) header.push_back(axis.header);
+    for (const Column<Result>& column : spec.columns) {
+      if (column.header != nullptr) header.push_back(column.header);
+    }
+    tables.emplace_back(std::move(header));
+  }
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    const std::vector<std::size_t> at = coords(cell);
+    std::vector<std::string> axis_cells;
+    obs::Labels labels;
+    std::string key;
+    for (std::size_t a = 0; a < at.size(); ++a) {
+      const Axis& axis = sweep.axes[a];
+      axis_cells.push_back(axis.labels[at[a]]);
+      labels[axis.header] = axis.labels[at[a]];
+      key += "_" + (axis.slugs.empty() ? axis.labels : axis.slugs)[at[a]];
+    }
+    const CellRuns<Result> cell_runs{
+        std::span<const Result>(results).subspan(cell * runs, runs), labels,
+        aggregate};
+    for (std::size_t t = 0; t < sweep.tables.size(); ++t) {
+      std::vector<std::string> row = axis_cells;
+      for (const Column<Result>& column : sweep.tables[t].columns) {
+        Emitted out = column.fold(cell_runs);
+        if (column.header != nullptr) row.push_back(std::move(out.text));
+        for (const auto& [stem, value] : out.values) {
+          std::visit([&](auto v) { report.add(stem + key, v); }, value);
+        }
+      }
+      tables[t].add_row(std::move(row));
+    }
+  }
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    if (sweep.tables[t].caption != nullptr) {
+      std::printf("# %s\n", sweep.tables[t].caption);
+    }
+    std::printf("%s\n", tables[t].render().c_str());
+  }
+  std::printf("%s\n", sweep.reading);
+
+  report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
+  if (sweep.report_nodes) {
+    report.add("nodes", static_cast<std::uint64_t>(opts.nodes));
+  }
+  const bool fingerprint_ok =
+      !sweep.spell_defaults ||
+      control_fingerprint_guard(sweep.spell_defaults, report);
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    report.add_section(sweep.tables[t].section, tables[t].to_json());
+  }
+  if (!report.write_if_requested(opts.json_path,
+                                 sweep.export_metrics ? &aggregate : nullptr)) {
+    return 1;
+  }
+  return fingerprint_ok ? 0 : 1;
+}
+
+// --- scenario sweep --------------------------------------------------------
+
+const ChaosScenario kScenarios[] = {
+    ChaosScenario::kFlashCrowdCrash, ChaosScenario::kRollingPartition,
+    ChaosScenario::kLossyLinkEpidemic, ChaosScenario::kCorruptedRelayQuorum,
+    ChaosScenario::kMildLossDrizzle};
+
 ChaosConfig sweep_config(ChaosScenario scenario, std::uint64_t seed,
                          bool adaptive, std::size_t nodes) {
   ChaosConfig config;
@@ -60,9 +354,88 @@ ChaosConfig sweep_config(ChaosScenario scenario, std::uint64_t seed,
   return config;
 }
 
+Sweep<ChaosConfig, ChaosResult> scenario_sweep(const SweepOptions& opts) {
+  using Col = Column<ChaosResult>;
+  // Per-cause accounting of every datagram that vanished. Each run counts
+  // drops in its private registry (net_drops_total / fault_injections_total);
+  // the sweep folds them into the aggregate registry, labeled by scenario
+  // and mode, and the drop table is rendered from it.
+  auto drop = [](const char* header, const char* series, const char* kind,
+                 const char* value, auto get) {
+    return Col{header, [=](const CellRuns<ChaosResult>& cell) {
+                 obs::Labels labels = cell.labels;
+                 labels[kind] = value;
+                 obs::Counter* counter = cell.metrics.counter(series, labels);
+                 counter->inc(cell.total(get));
+                 return Emitted{std::to_string(counter->value())};
+               }};
+  };
+  using Drops = ChaosResult::DropStats;
+  auto net = [&](const char* header, const char* cause,
+                 std::uint64_t Drops::*field) {
+    return drop(header, "net_drops_total", "cause", cause,
+                [=](const ChaosResult& r) { return r.drops.*field; });
+  };
+  using Faults = fault::FaultyTransport::Counters;
+  auto injected = [&](const char* header, const char* kind,
+                      std::uint64_t Faults::*field) {
+    return drop(header, "fault_injections_total", "kind", kind,
+                [=](const ChaosResult& r) { return r.faults.*field; });
+  };
+  return {
+      .bench = "chaos_sweep",
+      .title = "# Chaos sweep: SimEra(4,2)/random, " +
+               std::to_string(opts.nodes) +
+               " nodes, 512 B every 5 s, fixed 5 s timeouts vs adaptive "
+               "RTO+backoff",
+      .default_seeds = 6,
+      .axes = {{"scenario", labels_of(kScenarios, scenario_name)},
+               {"mode", {"fixed", "adaptive"}}},
+      .config =
+          [nodes = opts.nodes](const std::vector<std::size_t>& at,
+                               std::uint64_t seed) {
+            return sweep_config(kScenarios[at[0]], seed, at[1] == 1, nodes);
+          },
+      .run = run_chaos_experiment,
+      .tables =
+          {{"delivery",
+            nullptr,
+            {Col::percent("attempted delivery",
+                          &ChaosResult::attempted_delivery_rate),
+             Col::percent("accepted delivery", &ChaosResult::delivery_rate),
+             Col::count("retx", nullptr,
+                        &ChaosResult::segments_retransmitted),
+             Col::count("violations", nullptr, violations)}},
+           {"drops_by_cause",
+            "Datagram loss by cause (summed over seeds)",
+            {net("sender-dead", "sender_dead", &Drops::sender_dead),
+             net("recv-dead", "receiver_dead", &Drops::receiver_dead),
+             net("link-loss", "link_loss", &Drops::link_loss),
+             injected("crash", "dropped_crash", &Faults::dropped_crash),
+             injected("partition", "dropped_partition",
+                      &Faults::dropped_partition),
+             injected("spike-loss", "dropped_loss", &Faults::dropped_loss),
+             injected("corrupted", "corrupted", &Faults::corrupted),
+             injected("duplicated", "duplicated", &Faults::duplicated)}}},
+      .reading =
+          "Reading: the adaptive mode's RTT-tracked timeouts and "
+          "retransmission over surviving paths recover individual "
+          "datagram losses that fixed 5 s timeouts escalate into path "
+          "teardowns, so it leads on the attempted ratio wherever "
+          "links are lossy or relays corrupt traffic. Under pure "
+          "crash/partition faults the tradeoff reverses: there "
+          "retransmission cannot help (the path is dead, not lossy) "
+          "and the fixed mode's unbounded rebuild-and-resend loop "
+          "beats the adaptive mode's bounded retry budget. Violations "
+          "must read 0 — every run also upholds the conservation, "
+          "ledger, and no-leak invariants asserted by chaos_test.",
+      .export_metrics = true,
+  };
+}
+
 // --- byzantine sweep -------------------------------------------------------
 //
-// --byzantine-sweep replaces the scenario sweep with an integrity study:
+// --sweep byzantine replaces the scenario sweep with an integrity study:
 // the corrupted-relay-quorum scenario is rerun across per-datagram flip
 // probabilities, protocols, and three defense arms:
 //
@@ -85,10 +458,14 @@ constexpr double kByzProbs[] = {0.10, 0.25, 0.50};
 constexpr ByzArm kByzArms[] = {{"off", false, false},
                                {"tags", true, false},
                                {"tags+suspicion", true, true}};
-constexpr const char* kByzProtoNames[] = {"curmix", "simrep(2)",
-                                          "simera(4,2)"};
 
-anon::ProtocolSpec byz_spec(std::size_t proto, anon::MixChoice mix) {
+/// The three protocols the byzantine and overload sweeps cross, with their
+/// table labels and short report-key slugs.
+const std::vector<std::string> kProtoNames = {"curmix", "simrep(2)",
+                                              "simera(4,2)"};
+const std::vector<std::string> kProtoSlugs = {"curmix", "simrep2", "simera4"};
+
+anon::ProtocolSpec proto_spec(std::size_t proto, anon::MixChoice mix) {
   switch (proto) {
     case 0: return anon::ProtocolSpec::curmix(mix);
     case 1: return anon::ProtocolSpec::simrep(2, mix);
@@ -96,326 +473,198 @@ anon::ProtocolSpec byz_spec(std::size_t proto, anon::MixChoice mix) {
   }
 }
 
-int run_byzantine_sweep(std::uint64_t seed, std::size_t seeds,
-                        std::size_t nodes, std::size_t workers,
-                        const std::string& json_path) {
-  const auto runs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
-  constexpr std::size_t kProbCount = sizeof(kByzProbs) / sizeof(kByzProbs[0]);
-  constexpr std::size_t kArmCount = sizeof(kByzArms) / sizeof(kByzArms[0]);
-  constexpr std::size_t kProtoCount = 3;
-
-  struct Job {
-    std::size_t prob;
-    std::size_t proto;
-    std::size_t arm;
-    std::size_t run;
+Sweep<ChaosConfig, ChaosResult> byzantine_sweep(const SweepOptions& opts) {
+  using Col = Column<ChaosResult>;
+  auto prob_label = [](double p) { return format_double(p, 2); };
+  auto arm_name = [](const ByzArm& arm) { return arm.name; };
+  auto rate = [](const char* header,
+                 std::uint64_t ChaosResult::*numerator) {
+    return Col{header, [=](const CellRuns<ChaosResult>& cell) {
+                 const std::uint64_t accepted =
+                     cell.total(&ChaosResult::messages_accepted);
+                 const double denom =
+                     accepted > 0 ? static_cast<double>(accepted) : 1.0;
+                 return Emitted{format_double(
+                     static_cast<double>(cell.total(numerator)) / denom, 4)};
+               }};
   };
-  std::vector<Job> jobs;
-  for (std::size_t p = 0; p < kProbCount; ++p) {
-    for (std::size_t proto = 0; proto < kProtoCount; ++proto) {
-      for (std::size_t arm = 0; arm < kArmCount; ++arm) {
-        for (std::size_t run = 0; run < runs; ++run) {
-          jobs.push_back({p, proto, arm, run});
-        }
-      }
-    }
-  }
-
-  std::printf("# Byzantine sweep: corrupted-relay-quorum, %zu nodes, "
-              "512 B every 5 s, %zu seeds per cell\n",
-              nodes, runs);
-
-  std::vector<ChaosResult> results(jobs.size());
-  parallel_for(jobs.size(), workers, [&](std::size_t i) {
-    const Job& job = jobs[i];
-    const ByzArm& arm = kByzArms[job.arm];
-    const anon::MixChoice mix =
-        arm.suspicion ? anon::MixChoice::kBiased : anon::MixChoice::kRandom;
-    ChaosConfig config =
-        sweep_config(ChaosScenario::kCorruptedRelayQuorum, seed + job.run,
-                     /*adaptive=*/false, nodes);
-    config.spec = byz_spec(job.proto, mix);
-    config.byzantine_probability = kByzProbs[job.prob];
-    config.segment_auth = arm.tags;
-    config.verified_decode = arm.tags;
-    config.corruption_escalation = arm.tags;
-    config.relay_suspicion = arm.suspicion;
-    results[i] = run_chaos_experiment(config);
-  });
-
-  struct Cell {
-    std::uint64_t accepted = 0;
-    std::uint64_t correct = 0;
-    std::uint64_t wrong = 0;
-    std::uint64_t auth_rejected = 0;
-    std::uint64_t nacks = 0;
-    std::uint64_t quarantined = 0;
-    std::uint64_t violations = 0;
+  return {
+      .bench = "chaos_byzantine_sweep",
+      .title = "# Byzantine sweep: corrupted-relay-quorum, " +
+               std::to_string(opts.nodes) + " nodes, 512 B every 5 s",
+      .default_seeds = 3,
+      .axes = {{"p_corrupt", labels_of(kByzProbs, prob_label)},
+               {"protocol", kProtoNames},
+               {"arm", labels_of(kByzArms, arm_name)}},
+      .config =
+          [nodes = opts.nodes](const std::vector<std::size_t>& at,
+                               std::uint64_t seed) {
+            const ByzArm& arm = kByzArms[at[2]];
+            ChaosConfig config =
+                sweep_config(ChaosScenario::kCorruptedRelayQuorum, seed,
+                             /*adaptive=*/false, nodes);
+            config.spec = proto_spec(at[1], arm.suspicion
+                                                ? anon::MixChoice::kBiased
+                                                : anon::MixChoice::kRandom);
+            config.byzantine_probability = kByzProbs[at[0]];
+            config.segment_auth = arm.tags;
+            config.verified_decode = arm.tags;
+            config.corruption_escalation = arm.tags;
+            config.relay_suspicion = arm.suspicion;
+            return config;
+          },
+      .run = run_chaos_experiment,
+      .tables = {{"byzantine",
+                  nullptr,
+                  {Col::count("accepted", nullptr,
+                              &ChaosResult::messages_accepted),
+                   Col::count("correct", nullptr,
+                              &ChaosResult::messages_delivered_correct),
+                   Col::count("wrong", nullptr,
+                              &ChaosResult::messages_delivered_wrong),
+                   {"failed_closed",
+                    [](const CellRuns<ChaosResult>& cell) {
+                      return Emitted{std::to_string(
+                          cell.total(&ChaosResult::messages_accepted) -
+                          cell.total(&ChaosResult::messages_delivered_correct) -
+                          cell.total(&ChaosResult::messages_delivered_wrong))};
+                    }},
+                   rate("correct_rate",
+                        &ChaosResult::messages_delivered_correct),
+                   rate("wrong_rate", &ChaosResult::messages_delivered_wrong),
+                   Col::count("auth_rejected", nullptr,
+                              &ChaosResult::auth_rejected),
+                   Col::count("corrupt_nacks", nullptr,
+                              &ChaosResult::auth_nacks),
+                   Col::count("quarantined", nullptr,
+                              &ChaosResult::quarantined_nodes),
+                   Col::count("violations", nullptr, violations)}}},
+      .reading =
+          "Reading: with the auth arms on, `wrong` must be 0 in every "
+          "cell — a corrupted reconstruction is rejected at the "
+          "responder (tag check) or by the digest-validated decode, so "
+          "the message fails closed instead of delivering fabricated "
+          "bytes. The seed arm shows the baseline hazard: FastOnionCodec "
+          "has no integrity, so flips survive to the application. The "
+          "suspicion arm routes rebuilds around quarantined relays, "
+          "recovering deliveries the tags-only arm loses to the "
+          "byzantine quorum.",
+      .report_nodes = true,
   };
-  Cell cells[kProbCount][kProtoCount][kArmCount];
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const Job& job = jobs[i];
-    const ChaosResult& result = results[i];
-    Cell& cell = cells[job.prob][job.proto][job.arm];
-    cell.accepted += result.messages_accepted;
-    cell.correct += result.messages_delivered_correct;
-    cell.wrong += result.messages_delivered_wrong;
-    cell.auth_rejected += result.auth_rejected;
-    cell.nacks += result.auth_nacks;
-    cell.quarantined += result.quarantined_nodes;
-    cell.violations += result.messages_unaccounted + result.total_leaks() +
-                       (result.ledger_closed() ? 0 : 1);
-  }
-
-  metrics::Table table({"p_corrupt", "protocol", "arm", "accepted", "correct",
-                        "wrong", "failed_closed", "correct_rate",
-                        "wrong_rate", "auth_rejected", "corrupt_nacks",
-                        "quarantined", "violations"});
-  for (std::size_t p = 0; p < kProbCount; ++p) {
-    for (std::size_t proto = 0; proto < kProtoCount; ++proto) {
-      for (std::size_t arm = 0; arm < kArmCount; ++arm) {
-        const Cell& cell = cells[p][proto][arm];
-        const std::uint64_t closed =
-            cell.accepted - cell.correct - cell.wrong;
-        const double denom =
-            cell.accepted > 0 ? static_cast<double>(cell.accepted) : 1.0;
-        table.add_row({format_double(kByzProbs[p], 2),
-                       kByzProtoNames[proto], kByzArms[arm].name,
-                       std::to_string(cell.accepted),
-                       std::to_string(cell.correct),
-                       std::to_string(cell.wrong), std::to_string(closed),
-                       format_double(static_cast<double>(cell.correct) /
-                                         denom, 4),
-                       format_double(static_cast<double>(cell.wrong) / denom,
-                                     4),
-                       std::to_string(cell.auth_rejected),
-                       std::to_string(cell.nacks),
-                       std::to_string(cell.quarantined),
-                       std::to_string(cell.violations)});
-      }
-    }
-  }
-  std::printf("%s\n", table.render().c_str());
-  std::printf("Reading: with the auth arms on, `wrong` must be 0 in every "
-              "cell — a corrupted reconstruction is rejected at the "
-              "responder (tag check) or by the digest-validated decode, so "
-              "the message fails closed instead of delivering fabricated "
-              "bytes. The seed arm shows the baseline hazard: FastOnionCodec "
-              "has no integrity, so flips survive to the application. The "
-              "suspicion arm routes rebuilds around quarantined relays, "
-              "recovering deliveries the tags-only arm loses to the "
-              "byzantine quorum.\n");
-
-  obs::BenchReport report("chaos_byzantine_sweep");
-  report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
-  report.add("nodes", static_cast<std::uint64_t>(nodes));
-  report.add_section("byzantine", table.to_json());
-  if (!report.write_if_requested(json_path)) return 1;
-  return 0;
 }
 
 // --- membership sweep ------------------------------------------------------
 //
-// --membership-sweep drives the *control plane* fault scenarios
+// --sweep membership drives the *control plane* fault scenarios
 // (harness/membership_chaos.hpp) through the durability harness: gossip
 // blackout, leader crash, stale injection, and claim inflation, each under
 // three arms — random mix choice (the liveness-ignorant floor), biased
 // (Eq. 3 over the faulted membership), and resilient (biased + staleness-
 // aware selection + anti-entropy repair + bounded trust + failover).
 //
-// Two committed gates ride on the JSON (scripts/check_bench_membership.py):
+// Two committed gates ride on the JSON (scripts/check_bench.py):
 //   1. under gossip blackout, the resilient arm's mean durability must not
 //      fall below the random arm's (staleness-aware bias >= the floor);
 //   2. the control fingerprint: with every membership-resilience knob at
 //      its default, a fixed chaos run must still produce the pre-PR
-//      fingerprint below, byte for byte.
+//      fingerprint, byte for byte.
 
-/// ChaosResult::fingerprint() of tiny_chaos(3) — 64 nodes, seed 3,
-/// mild-loss-drizzle, warmup 5 min, measure 6 min, 1 KB every 10 s,
-/// SimEra(4,2)/random — captured before the membership-resilience features
-/// landed. The control section reruns that exact config and must reproduce
-/// this string while every new knob sits at its default.
-constexpr const char* kPrePrFingerprint =
-    "1:35:19:17:4:13:0:26:20:1:5:6:60:0:0:0:0:0:0:0:171:0:0:0:0:173:0:0:0:"
-    "12:45782:4:0:0:0:0:0:0";
+constexpr MembershipScenario kMemScenarios[] = {
+    MembershipScenario::kGossipBlackout, MembershipScenario::kLeaderCrash,
+    MembershipScenario::kStaleInject, MembershipScenario::kClaimInflate};
+constexpr MembershipArm kMemArms[] = {MembershipArm::kRandom,
+                                      MembershipArm::kBiased,
+                                      MembershipArm::kResilient};
 
-ChaosConfig control_chaos_config() {
-  ChaosConfig config;
-  config.environment.num_nodes = 64;
-  config.environment.seed = 3;
-  config.scenario = ChaosScenario::kMildLossDrizzle;
-  config.warmup = 5 * kMinute;
-  config.measure = 6 * kMinute;
-  config.send_interval = 10 * kSecond;
-  config.spec = anon::ProtocolSpec::simera(4, 2, anon::MixChoice::kRandom);
-  return config;
-}
-
-int run_membership_sweep(std::uint64_t seed, std::size_t seeds,
-                         std::size_t workers, const std::string& json_path) {
-  const auto runs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
-  constexpr MembershipScenario kMemScenarios[] = {
-      MembershipScenario::kGossipBlackout, MembershipScenario::kLeaderCrash,
-      MembershipScenario::kStaleInject, MembershipScenario::kClaimInflate};
-  constexpr MembershipArm kArms[] = {MembershipArm::kRandom,
-                                     MembershipArm::kBiased,
-                                     MembershipArm::kResilient};
-  constexpr std::size_t kScenarioCount =
-      sizeof(kMemScenarios) / sizeof(kMemScenarios[0]);
-  constexpr std::size_t kArmCount = sizeof(kArms) / sizeof(kArms[0]);
-
-  struct Job {
-    std::size_t scenario;
-    std::size_t arm;
-    std::size_t run;
+Sweep<MembershipChaosConfig, DurabilityResult> membership_sweep(
+    const SweepOptions&) {
+  using R = DurabilityResult;
+  using Col = Column<R>;
+  using Counters = fault::FaultyTransport::Counters;
+  auto injected = [](const char* header, std::uint64_t Counters::*counter) {
+    return Col::count(header, nullptr,
+                      [=](const R& r) { return r.faults.*counter; });
   };
-  std::vector<Job> jobs;
-  for (std::size_t s = 0; s < kScenarioCount; ++s) {
-    for (std::size_t a = 0; a < kArmCount; ++a) {
-      for (std::size_t r = 0; r < runs; ++r) jobs.push_back({s, a, r});
-    }
-  }
-
-  std::printf("# Membership sweep: control-plane faults x recovery arms, "
-              "64 nodes, SimEra(4,2), %zu seeds per cell\n",
-              runs);
-
-  std::vector<DurabilityResult> results(jobs.size());
-  parallel_for(jobs.size(), workers, [&](std::size_t i) {
-    const Job& job = jobs[i];
-    MembershipChaosConfig config;
-    config.scenario = kMemScenarios[job.scenario];
-    config.arm = kArms[job.arm];
-    config.seed = seed + job.run;
-    results[i] = run_membership_chaos(config);
-  });
-
-  struct Cell {
-    double durability = 0.0;
-    double attempts = 0.0;
-    double belief = 0.0;
-    std::uint64_t sent = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t stale_fallbacks = 0;
-    std::uint64_t biased_selects = 0;
-    std::uint64_t repair_accepted = 0;
-    std::uint64_t elections = 0;
-    fault::FaultyTransport::Counters faults;
+  return {
+      .bench = "chaos_membership_sweep",
+      .title = "# Membership sweep: control-plane faults x recovery arms, "
+               "64 nodes, SimEra(4,2)",
+      .default_seeds = 5,
+      .axes = {{"scenario",
+                labels_of(kMemScenarios, membership_scenario_name)},
+               {"arm", labels_of(kMemArms, membership_arm_name)}},
+      .config =
+          [](const std::vector<std::size_t>& at, std::uint64_t seed) {
+            MembershipChaosConfig config;
+            config.scenario = kMemScenarios[at[0]];
+            config.arm = kMemArms[at[1]];
+            config.seed = seed;
+            return config;
+          },
+      .run = run_membership_chaos,
+      .tables =
+          {{"durability",
+            nullptr,
+            {Col::mean("durability_s", "durability", &R::durability_seconds,
+                       1),
+             Col::mean("attempts", nullptr, &R::construct_attempts, 1),
+             {"delivery",
+              [](const CellRuns<R>& cell) {
+                const std::uint64_t sent = cell.total(&R::messages_sent);
+                const std::uint64_t delivered =
+                    cell.total(&R::messages_delivered);
+                return Emitted{
+                    format_double(sent > 0
+                                      ? 100.0 *
+                                            static_cast<double>(delivered) /
+                                            static_cast<double>(sent)
+                                      : 0.0,
+                                  1) +
+                    "%"};
+              }},
+             Col::percent("belief", &R::belief_accuracy),
+             {"stale_fallbacks",
+              [](const CellRuns<R>& cell) {
+                return Emitted{
+                    std::to_string(cell.total(&R::mix_stale_fallbacks)) +
+                    "/" + std::to_string(cell.total(&R::mix_biased_selects))};
+              }},
+             Col::count("repair_accepted", nullptr,
+                        [](const R& r) {
+                          return r.control.repair_records_accepted;
+                        }),
+             Col::count("elections", nullptr,
+                        [](const R& r) { return r.control.elections; })}},
+           {"membership_drops",
+            "Membership-plane injections (summed over seeds)",
+            {injected("gossip-blackout", &Counters::dropped_gossip_blackout),
+             injected("gossip-loss", &Counters::dropped_gossip_loss),
+             injected("stale-inject", &Counters::stale_injected),
+             injected("claim-inflate", &Counters::claims_inflated),
+             injected("crash-drop", &Counters::dropped_crash)}}},
+      .reading =
+          "Reading: under gossip blackout the biased arms rank on "
+          "fossils until repair heals the caches; the resilient arm's "
+          "anti-entropy + staleness-aware degradation must keep its "
+          "durability at or above the random floor (the CI gate). "
+          "Under leader crash only the failover arm re-elects "
+          "(elections > 0) and keeps dissemination alive; under claim "
+          "inflation bounded trust caps the fake uptimes that would "
+          "otherwise dominate the Eq. 3 ranking.",
+      .spell_defaults =
+          [](ChaosConfig& spelled) {
+            spelled.environment.membership_kind = MembershipKind::kGossip;
+            spelled.environment.gossip.anti_entropy_interval = 0;
+            spelled.environment.gossip.per_node_rng = false;
+            spelled.environment.gossip.bounded_trust = false;
+            spelled.environment.membership_obs_interval = 0;
+          },
   };
-  std::vector<Cell> cells(kScenarioCount * kArmCount);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const Job& job = jobs[i];
-    const DurabilityResult& r = results[i];
-    Cell& cell = cells[job.scenario * kArmCount + job.arm];
-    cell.durability += r.durability_seconds;
-    cell.attempts += static_cast<double>(r.construct_attempts);
-    cell.belief += r.belief_accuracy;
-    cell.sent += r.messages_sent;
-    cell.delivered += r.messages_delivered;
-    cell.stale_fallbacks += r.mix_stale_fallbacks;
-    cell.biased_selects += r.mix_biased_selects;
-    cell.repair_accepted += r.control.repair_records_accepted;
-    cell.elections += r.control.elections;
-    cell.faults.dropped_gossip_blackout += r.faults.dropped_gossip_blackout;
-    cell.faults.dropped_gossip_loss += r.faults.dropped_gossip_loss;
-    cell.faults.stale_injected += r.faults.stale_injected;
-    cell.faults.claims_inflated += r.faults.claims_inflated;
-    cell.faults.dropped_crash += r.faults.dropped_crash;
-  }
-
-  const double denom = static_cast<double>(runs);
-  metrics::Table table({"scenario", "arm", "durability_s", "attempts",
-                        "delivery", "belief", "stale_fallbacks",
-                        "repair_accepted", "elections"});
-  metrics::Table drop_table({"scenario", "arm", "gossip-blackout",
-                             "gossip-loss", "stale-inject", "claim-inflate",
-                             "crash-drop"});
-  obs::BenchReport report("chaos_membership_sweep");
-  for (std::size_t s = 0; s < kScenarioCount; ++s) {
-    for (std::size_t a = 0; a < kArmCount; ++a) {
-      const Cell& cell = cells[s * kArmCount + a];
-      const char* scenario = membership_scenario_name(kMemScenarios[s]);
-      const char* arm = membership_arm_name(kArms[a]);
-      const double durability = cell.durability / denom;
-      table.add_row(
-          {scenario, arm, format_double(durability, 1),
-           format_double(cell.attempts / denom, 1),
-           format_double(cell.sent > 0
-                             ? 100.0 * static_cast<double>(cell.delivered) /
-                                   static_cast<double>(cell.sent)
-                             : 0.0,
-                         1) +
-               "%",
-           format_double(100.0 * cell.belief / denom, 1) + "%",
-           std::to_string(cell.stale_fallbacks) + "/" +
-               std::to_string(cell.biased_selects),
-           std::to_string(cell.repair_accepted),
-           std::to_string(cell.elections)});
-      drop_table.add_row(
-          {scenario, arm,
-           std::to_string(cell.faults.dropped_gossip_blackout),
-           std::to_string(cell.faults.dropped_gossip_loss),
-           std::to_string(cell.faults.stale_injected),
-           std::to_string(cell.faults.claims_inflated),
-           std::to_string(cell.faults.dropped_crash)});
-      report.add(std::string("durability_") + scenario + "_" + arm,
-                 durability);
-    }
-  }
-  std::printf("%s\n", table.render().c_str());
-  std::printf("# Membership-plane injections (summed over seeds)\n%s\n",
-              drop_table.render().c_str());
-  std::printf("Reading: under gossip blackout the biased arms rank on "
-              "fossils until repair heals the caches; the resilient arm's "
-              "anti-entropy + staleness-aware degradation must keep its "
-              "durability at or above the random floor (the CI gate). "
-              "Under leader crash only the failover arm re-elects "
-              "(elections > 0) and keeps dissemination alive; under claim "
-              "inflation bounded trust caps the fake uptimes that would "
-              "otherwise dominate the Eq. 3 ranking.\n");
-
-  // Control fingerprint: the pre-PR chaos run, once with factory defaults
-  // and once with every membership knob spelled out at its default value —
-  // all three strings must agree or a default drifted.
-  const ChaosResult control_default =
-      run_chaos_experiment(control_chaos_config());
-  ChaosConfig spelled = control_chaos_config();
-  spelled.environment.membership_kind = MembershipKind::kGossip;
-  spelled.environment.gossip.anti_entropy_interval = 0;
-  spelled.environment.gossip.per_node_rng = false;
-  spelled.environment.gossip.bounded_trust = false;
-  spelled.environment.membership_obs_interval = 0;
-  const ChaosResult control_spelled = run_chaos_experiment(spelled);
-  const bool fingerprint_ok =
-      control_default.fingerprint() == kPrePrFingerprint &&
-      control_spelled.fingerprint() == kPrePrFingerprint;
-  std::printf("control fingerprint: %s\n",
-              fingerprint_ok ? "MATCHES pre-PR baseline"
-                             : "MISMATCH vs pre-PR baseline");
-  if (!fingerprint_ok) {
-    std::printf("  pre-PR:  %s\n  default: %s\n  spelled: %s\n",
-                kPrePrFingerprint, control_default.fingerprint().c_str(),
-                control_spelled.fingerprint().c_str());
-  }
-
-  report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
-  report.add_text("pre_pr_fingerprint", kPrePrFingerprint);
-  report.add_text("control_fingerprint", control_default.fingerprint());
-  report.add_text("control_fingerprint_spelled",
-                  control_spelled.fingerprint());
-  report.add("fingerprint_match",
-             static_cast<std::uint64_t>(fingerprint_ok ? 1 : 0));
-  report.add_section("durability", table.to_json());
-  report.add_section("membership_drops", drop_table.to_json());
-  if (!report.write_if_requested(json_path)) return 1;
-  return fingerprint_ok ? 0 : 1;
 }
 
 // --- overload sweep --------------------------------------------------------
 //
-// --overload-sweep replaces the scenario sweep with a saturation study: the
+// --sweep overload replaces the scenario sweep with a saturation study: the
 // workload engine offers a bulk/interactive/streaming mix whose rate is
 // shaped {steady, diurnal, flash} while every relay runs a bounded leaky-
 // bucket queue, across 3 protocols x 2 arms:
@@ -426,26 +675,15 @@ int run_membership_sweep(std::uint64_t seed, std::size_t seeds,
 //   drop   the same bounded queue with priority-blind tail drop and no
 //          admission/backpressure — what a naive bounded relay does.
 //
-// The committed gates (scripts/check_bench_overload.py): under the flash
+// The committed gates (scripts/check_bench.py): under the flash
 // crowd the shed arm's goodput stays above a floor while the drop arm
 // collapses below it, interactive p99 stays bounded, zero control-plane
 // segments are ever shed, and the off-means-off control fingerprint
 // reproduces byte for byte.
 
-struct OverloadArm {
-  const char* name;
-  bool shed;
-};
-
-constexpr OverloadArm kOvlArms[] = {{"shed", true}, {"drop", false}};
 constexpr workload::LoadShape kOvlShapes[] = {workload::LoadShape::kSteady,
                                               workload::LoadShape::kDiurnal,
                                               workload::LoadShape::kFlashCrowd};
-constexpr std::size_t kOvlArmCount = sizeof(kOvlArms) / sizeof(kOvlArms[0]);
-constexpr std::size_t kOvlShapeCount =
-    sizeof(kOvlShapes) / sizeof(kOvlShapes[0]);
-/// Short report-key slugs, shared with the anonymity sweep's protocols.
-constexpr const char* kOvlProtoSlugs[] = {"curmix", "simrep2", "simera4"};
 
 ChaosConfig overload_cell_config(std::size_t proto, workload::LoadShape shape,
                                  bool shed, std::uint64_t seed) {
@@ -463,7 +701,7 @@ ChaosConfig overload_cell_config(std::size_t proto, workload::LoadShape shape,
   // raise it so retransmission absorbs background loss and offered load
   // stays the only stressor.
   config.path_fail_threshold = 40;
-  config.spec = byz_spec(proto, anon::MixChoice::kRandom);
+  config.spec = proto_spec(proto, anon::MixChoice::kRandom);
   config.workload.enabled = true;
   config.workload.shape = shape;
   // 4 msg/s (plus ~20% retransmit traffic from the drizzle) against a
@@ -484,203 +722,128 @@ ChaosConfig overload_cell_config(std::size_t proto, workload::LoadShape shape,
   return config;
 }
 
-int run_overload_sweep(std::uint64_t seed, std::size_t seeds,
-                       std::size_t workers, const std::string& json_path) {
-  const auto runs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
-  constexpr std::size_t kProtoCount = 3;
-
-  struct Job {
-    std::size_t proto;
-    std::size_t shape;
-    std::size_t arm;
-    std::size_t run;
+Sweep<ChaosConfig, ChaosResult> overload_sweep(const SweepOptions&) {
+  using R = ChaosResult;
+  using Col = Column<R>;
+  // Per-class goodput over the cell: delivered / attempted sends, summed
+  // over runs (indexed by workload::TrafficClass).
+  auto class_goodput = [](const char* header, const char* key,
+                          std::size_t cls) {
+    return Col{header, [=](const CellRuns<R>& cell) {
+                 R::ClassStats stats;
+                 for (const R& r : cell.runs) {
+                   stats.attempts += r.per_class[cls].attempts;
+                   stats.delivered += r.per_class[cls].delivered;
+                 }
+                 return emit(format_double(stats.goodput(), 3), key,
+                             stats.goodput());
+               }};
   };
-  std::vector<Job> jobs;
-  for (std::size_t p = 0; p < kProtoCount; ++p) {
-    for (std::size_t s = 0; s < kOvlShapeCount; ++s) {
-      for (std::size_t a = 0; a < kOvlArmCount; ++a) {
-        for (std::size_t r = 0; r < runs; ++r) jobs.push_back({p, s, a, r});
-      }
-    }
-  }
-
-  std::printf("# Overload sweep: workload shapes x shed/drop arms, 64 "
-              "nodes, mixed traffic at 4 msg/s vs 5/s relay drain, %zu "
-              "seeds per cell\n",
-              runs);
-
-  std::vector<ChaosResult> results(jobs.size());
-  parallel_for(jobs.size(), workers, [&](std::size_t i) {
-    const Job& job = jobs[i];
-    results[i] = run_chaos_experiment(
-        overload_cell_config(job.proto, kOvlShapes[job.shape],
-                             kOvlArms[job.arm].shed, seed + job.run));
-  });
-
-  struct Cell {
-    std::uint64_t attempts = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t expired = 0;
-    std::uint64_t retx = 0;
-    std::uint64_t deferred = 0;
-    ChaosResult::ClassStats per_class[3];
-    std::uint64_t inter_p99_us = 0;  // worst run's p99
-    std::uint64_t sheds_bulk = 0, sheds_streaming = 0;
-    std::uint64_t sheds_interactive = 0, sheds_control = 0;
-    std::uint64_t admission = 0, backpressure = 0;
-    std::uint64_t session_shed = 0, stalls_suppressed = 0;
-    std::uint64_t violations = 0;
+  return {
+      .bench = "chaos_overload_sweep",
+      .title = "# Overload sweep: workload shapes x shed/drop arms, 64 "
+               "nodes, mixed traffic at 4 msg/s vs 5/s relay drain",
+      .default_seeds = 2,
+      .axes = {{"protocol", kProtoNames, kProtoSlugs},
+               {"shape", labels_of(kOvlShapes, workload::load_shape_name)},
+               {"arm", {"shed", "drop"}}},
+      .config =
+          [](const std::vector<std::size_t>& at, std::uint64_t seed) {
+            return overload_cell_config(at[0], kOvlShapes[at[1]],
+                                        /*shed=*/at[2] == 0, seed);
+          },
+      .run = run_chaos_experiment,
+      .tables =
+          {{"overload",
+            nullptr,
+            {Col::count("attempts", "attempts", &R::send_attempts),
+             Col::count("accepted", "accepted", &R::messages_accepted),
+             Col::count(nullptr, "delivered", &R::messages_delivered),
+             {"goodput",
+              [](const CellRuns<R>& cell) {
+                const std::uint64_t attempts = cell.total(&R::send_attempts);
+                const double goodput =
+                    attempts > 0
+                        ? static_cast<double>(
+                              cell.total(&R::messages_delivered)) /
+                              static_cast<double>(attempts)
+                        : 0.0;
+                return emit(format_double(goodput, 3), "goodput", goodput);
+              }},
+             class_goodput("inter_gp", "goodput_interactive", 1),
+             class_goodput("bulk_gp", "goodput_bulk", 0),
+             class_goodput(nullptr, "goodput_streaming", 2),
+             {"inter_p99_ms",  // the worst run's p99
+              [](const CellRuns<R>& cell) {
+                std::uint64_t p99 = 0;
+                for (const R& r : cell.runs) {
+                  p99 = std::max(p99, r.interactive_p99_us);
+                }
+                return emit(std::to_string(p99 / 1000), "interactive_p99_us",
+                            p99);
+              }},
+             Col::count("retx", "segments_retx", &R::segments_retransmitted),
+             Col::count("expired", "segments_expired", &R::segments_expired),
+             Col::count(nullptr, "segments_deferred",
+                        &R::session_segments_deferred),
+             {"sheds b/s/i/c",
+              [](const CellRuns<R>& cell) {
+                Emitted out;
+                for (const auto& [stem, field] :
+                     {std::pair{"sheds_bulk", &R::relay_sheds_bulk},
+                      std::pair{"sheds_streaming", &R::relay_sheds_streaming},
+                      std::pair{"sheds_interactive",
+                                &R::relay_sheds_interactive},
+                      std::pair{"sheds_control", &R::relay_sheds_control}}) {
+                  const std::uint64_t n = cell.total(field);
+                  out.text += (out.text.empty() ? "" : "/") + std::to_string(n);
+                  out.values.emplace_back(stem, n);
+                }
+                return out;
+              }},
+             Col::count("admission", "admission_rejects",
+                        &R::admission_rejects),
+             Col::count("bp", "backpressure_signals",
+                        &R::backpressure_signals),
+             Col::count(nullptr, "session_sheds", &R::session_messages_shed),
+             Col::count(nullptr, "stalls_suppressed",
+                        &R::session_stalls_suppressed),
+             Col::count("violations", "violations", violations)}}},
+      .reading =
+          "Reading: `goodput` is delivered / attempted sends. Under the "
+          "steady shape both arms ride well under the drain rate and "
+          "tie. Under the flash crowd the drop arm tail-drops every "
+          "class equally — retransmissions amplify the overload and "
+          "interactive goodput collapses with the rest — while the "
+          "shed arm sacrifices bulk first (sheds column: bulk >> "
+          "interactive, control always 0), refuses new work at "
+          "saturated relays, and backpressures the sender into "
+          "deferring bulk, so interactive goodput and p99 stay "
+          "serviceable through the spike.",
+      .spell_defaults =
+          [](ChaosConfig& spelled) {
+            spelled.workload = workload::WorkloadConfig{};
+            spelled.environment.router.overload =
+                anon::RouterConfig::OverloadConfig{};
+            spelled.environment.router.pool_max_capacity = 0;
+            spelled.environment.overload_obs_interval = 0;
+            spelled.max_inflight_segments = 0;
+            spelled.shed_low_priority = false;
+            spelled.session_backpressure = false;
+          },
   };
-  std::vector<Cell> cells(kProtoCount * kOvlShapeCount * kOvlArmCount);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const Job& job = jobs[i];
-    const ChaosResult& r = results[i];
-    Cell& cell = cells[(job.proto * kOvlShapeCount + job.shape) *
-                           kOvlArmCount +
-                       job.arm];
-    cell.attempts += r.send_attempts;
-    cell.accepted += r.messages_accepted;
-    cell.delivered += r.messages_delivered;
-    cell.expired += r.segments_expired;
-    cell.retx += r.segments_retransmitted;
-    cell.deferred += r.session_segments_deferred;
-    for (std::size_t c = 0; c < 3; ++c) {
-      cell.per_class[c].attempts += r.per_class[c].attempts;
-      cell.per_class[c].accepted += r.per_class[c].accepted;
-      cell.per_class[c].delivered += r.per_class[c].delivered;
-    }
-    cell.inter_p99_us = std::max(cell.inter_p99_us, r.interactive_p99_us);
-    cell.sheds_bulk += r.relay_sheds_bulk;
-    cell.sheds_streaming += r.relay_sheds_streaming;
-    cell.sheds_interactive += r.relay_sheds_interactive;
-    cell.sheds_control += r.relay_sheds_control;
-    cell.admission += r.admission_rejects;
-    cell.backpressure += r.backpressure_signals;
-    cell.session_shed += r.session_messages_shed;
-    cell.stalls_suppressed += r.session_stalls_suppressed;
-    cell.violations += r.messages_unaccounted + r.total_leaks() +
-                       (r.ledger_closed() ? 0 : 1);
-  }
-
-  metrics::Table table({"protocol", "shape", "arm", "attempts", "accepted",
-                        "goodput", "inter_gp", "bulk_gp", "inter_p99_ms",
-                        "retx", "expired", "sheds b/s/i/c", "admission",
-                        "bp", "violations"});
-  obs::BenchReport report("chaos_overload_sweep");
-  for (std::size_t p = 0; p < kProtoCount; ++p) {
-    for (std::size_t s = 0; s < kOvlShapeCount; ++s) {
-      for (std::size_t a = 0; a < kOvlArmCount; ++a) {
-        const Cell& cell =
-            cells[(p * kOvlShapeCount + s) * kOvlArmCount + a];
-        const std::string key = std::string(kOvlProtoSlugs[p]) + "_" +
-                                workload::load_shape_name(kOvlShapes[s]) +
-                                "_" + kOvlArms[a].name;
-        const double goodput =
-            cell.attempts > 0 ? static_cast<double>(cell.delivered) /
-                                    static_cast<double>(cell.attempts)
-                              : 0.0;
-        table.add_row(
-            {kByzProtoNames[p], workload::load_shape_name(kOvlShapes[s]),
-             kOvlArms[a].name, std::to_string(cell.attempts),
-             std::to_string(cell.accepted),
-             format_double(goodput, 3),
-             format_double(cell.per_class[1].goodput(), 3),
-             format_double(cell.per_class[0].goodput(), 3),
-             std::to_string(cell.inter_p99_us / 1000),
-             std::to_string(cell.retx), std::to_string(cell.expired),
-             std::to_string(cell.sheds_bulk) + "/" +
-                 std::to_string(cell.sheds_streaming) + "/" +
-                 std::to_string(cell.sheds_interactive) + "/" +
-                 std::to_string(cell.sheds_control),
-             std::to_string(cell.admission),
-             std::to_string(cell.backpressure),
-             std::to_string(cell.violations)});
-        report.add("attempts_" + key, cell.attempts);
-        report.add("accepted_" + key, cell.accepted);
-        report.add("delivered_" + key, cell.delivered);
-        report.add("segments_retx_" + key, cell.retx);
-        report.add("segments_expired_" + key, cell.expired);
-        report.add("segments_deferred_" + key, cell.deferred);
-        report.add("goodput_" + key, goodput);
-        report.add("goodput_interactive_" + key,
-                   cell.per_class[1].goodput());
-        report.add("goodput_bulk_" + key, cell.per_class[0].goodput());
-        report.add("goodput_streaming_" + key,
-                   cell.per_class[2].goodput());
-        report.add("interactive_p99_us_" + key, cell.inter_p99_us);
-        report.add("sheds_bulk_" + key, cell.sheds_bulk);
-        report.add("sheds_streaming_" + key, cell.sheds_streaming);
-        report.add("sheds_interactive_" + key, cell.sheds_interactive);
-        report.add("sheds_control_" + key, cell.sheds_control);
-        report.add("admission_rejects_" + key, cell.admission);
-        report.add("backpressure_signals_" + key, cell.backpressure);
-        report.add("session_sheds_" + key, cell.session_shed);
-        report.add("stalls_suppressed_" + key, cell.stalls_suppressed);
-        report.add("violations_" + key, cell.violations);
-      }
-    }
-  }
-  std::printf("%s\n", table.render().c_str());
-  std::printf("Reading: `goodput` is delivered / attempted sends. Under the "
-              "steady shape both arms ride well under the drain rate and "
-              "tie. Under the flash crowd the drop arm tail-drops every "
-              "class equally — retransmissions amplify the overload and "
-              "interactive goodput collapses with the rest — while the "
-              "shed arm sacrifices bulk first (sheds column: bulk >> "
-              "interactive, control always 0), refuses new work at "
-              "saturated relays, and backpressures the sender into "
-              "deferring bulk, so interactive goodput and p99 stay "
-              "serviceable through the spike.\n");
-
-  // Off means off: factory defaults and every overload/workload knob
-  // spelled at its default must reproduce the pre-PR fingerprint.
-  const ChaosResult control_default =
-      run_chaos_experiment(control_chaos_config());
-  ChaosConfig spelled = control_chaos_config();
-  spelled.workload = workload::WorkloadConfig{};
-  spelled.environment.router.overload = anon::RouterConfig::OverloadConfig{};
-  spelled.environment.router.pool_max_capacity = 0;
-  spelled.environment.overload_obs_interval = 0;
-  spelled.max_inflight_segments = 0;
-  spelled.shed_low_priority = false;
-  spelled.session_backpressure = false;
-  const ChaosResult control_spelled = run_chaos_experiment(spelled);
-  const bool fingerprint_ok =
-      control_default.fingerprint() == kPrePrFingerprint &&
-      control_spelled.fingerprint() == kPrePrFingerprint;
-  std::printf("control fingerprint: %s\n",
-              fingerprint_ok ? "MATCHES pre-PR baseline"
-                             : "MISMATCH vs pre-PR baseline");
-  if (!fingerprint_ok) {
-    std::printf("  pre-PR:  %s\n  default: %s\n  spelled: %s\n",
-                kPrePrFingerprint, control_default.fingerprint().c_str(),
-                control_spelled.fingerprint().c_str());
-  }
-
-  report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
-  report.add_text("pre_pr_fingerprint", kPrePrFingerprint);
-  report.add_text("control_fingerprint", control_default.fingerprint());
-  report.add_text("control_fingerprint_spelled",
-                  control_spelled.fingerprint());
-  report.add("fingerprint_match",
-             static_cast<std::uint64_t>(fingerprint_ok ? 1 : 0));
-  report.add_section("overload", table.to_json());
-  if (!report.write_if_requested(json_path)) return 1;
-  return fingerprint_ok ? 0 : 1;
 }
 
 // --- anonymity sweep -------------------------------------------------------
 //
-// --anonymity-sweep taps a LinkObserver into the wire and replays the
+// --sweep anonymity taps a LinkObserver into the wire and replays the
 // captured flow log through the offline attack engine (DESIGN §10):
 // predecessor (paper §5 Case 1 with a planted fraction-f insider set),
 // intersection over trial windows, and timing correlation at the
 // responder. 3 protocols x 5 arms: a compromised-fraction grid
 // {f=5%, 10%, 20%}, a cover-traffic arm, and a fast-churn arm.
 //
-// The committed gates (scripts/check_bench_anonymity.py):
+// The committed gates (scripts/check_bench.py):
 //   1. empirical first-relay compromise tracks 1-(1-f)^k across the f
 //      grid for every protocol;
 //   2. cover traffic strictly lowers timing-correlation success;
@@ -701,24 +864,15 @@ constexpr AnonymityArm kAnonArms[] = {
     {"f20", 0.20, false, false},  {"cover", 0.10, true, false},
     {"churn", 0.10, false, true},
 };
-constexpr std::size_t kAnonArmCount =
-    sizeof(kAnonArms) / sizeof(kAnonArms[0]);
-
-/// Short report-key slugs for the three protocol arms.
-constexpr const char* kAnonProtoSlugs[] = {"curmix", "simrep2", "simera4"};
 
 AnonymityConfig anonymity_cell_config(std::size_t proto, std::size_t arm,
                                       std::uint64_t seed,
                                       std::size_t nodes) {
-  const anon::ProtocolSpec specs[] = {
-      anon::ProtocolSpec::curmix(anon::MixChoice::kRandom),
-      anon::ProtocolSpec::simrep(2, anon::MixChoice::kRandom),
-      anon::ProtocolSpec::simera(4, 2, anon::MixChoice::kRandom)};
   const AnonymityArm& a = kAnonArms[arm];
   AnonymityConfig config;
   config.environment.num_nodes = nodes;
   config.environment.seed = seed;
-  config.spec = specs[proto];
+  config.spec = proto_spec(proto, anon::MixChoice::kRandom);
   config.compromised_fraction = a.fraction;
   config.cover_traffic = a.cover;
   config.trials = 36;  // 24 default; more trials tighten the f-grid gate
@@ -729,168 +883,108 @@ AnonymityConfig anonymity_cell_config(std::size_t proto, std::size_t arm,
   return config;
 }
 
-int run_anonymity_sweep(std::uint64_t seed, std::size_t seeds,
-                        std::size_t nodes, std::size_t workers,
-                        const std::string& json_path,
-                        const std::string& flow_log_path) {
-  const auto runs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
-  constexpr std::size_t kProtoCount = 3;
-
-  struct Job {
-    std::size_t proto;
-    std::size_t arm;
-    std::size_t run;
+Sweep<AnonymityConfig, AnonymityResult> anonymity_sweep(
+    const SweepOptions& opts) {
+  using R = AnonymityResult;
+  using Col = Column<R>;
+  std::vector<std::string> protocols;
+  for (std::size_t p = 0; p < kProtoSlugs.size(); ++p) {
+    protocols.push_back(proto_spec(p, anon::MixChoice::kRandom).name());
+  }
+  auto arm_name = [](const AnonymityArm& arm) { return arm.name; };
+  // One field of one of the three attack reports.
+  using Report = adversary::AnonymityReport;
+  auto of = [](Report R::*attack, double Report::*field) {
+    return [=](const R& r) { return (r.*attack).*field; };
   };
-  std::vector<Job> jobs;
-  for (std::size_t p = 0; p < kProtoCount; ++p) {
-    for (std::size_t a = 0; a < kAnonArmCount; ++a) {
-      for (std::size_t r = 0; r < runs; ++r) jobs.push_back({p, a, r});
-    }
-  }
-
-  std::printf("# Anonymity sweep: passive global observer + offline "
-              "attacks, %zu nodes, %zu seeds per cell\n",
-              nodes, runs);
-
-  std::vector<AnonymityResult> results(jobs.size());
-  parallel_for(jobs.size(), workers, [&](std::size_t i) {
-    const Job& job = jobs[i];
-    AnonymityConfig config =
-        anonymity_cell_config(job.proto, job.arm, seed + job.run, nodes);
-    // One representative capture (CurMix/base, first seed) as link-record
-    // JSONL, for tools/trace_analyze --flows cross-referencing.
-    if (!flow_log_path.empty() && job.proto == 0 && job.arm == 1 &&
-        job.run == 0) {
-      config.flow_log_path = flow_log_path;
-    }
-    results[i] = run_anonymity_experiment(config);
-  });
-
-  struct Cell {
-    double pred_success = 0, pred_compromise = 0, pred_entropy = 0;
-    double pred_set = 0, gt_compromise = 0;
-    double inter_success = 0, inter_set = 0;
-    double corr_success = 0, corr_entropy = 0, corr_set = 0;
-    double eq4 = 0, exposure = 0, uniform_entropy = 0;
-    std::uint64_t trials = 0, constructed = 0, cover_msgs = 0;
-    std::uint64_t flows = 0, evicted = 0;
+  return {
+      .bench = "chaos_anonymity_sweep",
+      .title = "# Anonymity sweep: passive global observer + offline "
+               "attacks, " +
+               std::to_string(opts.nodes) + " nodes",
+      .default_seeds = 3,
+      .axes = {{"protocol", protocols, kProtoSlugs},
+               {"arm", labels_of(kAnonArms, arm_name)}},
+      .config =
+          [opts](const std::vector<std::size_t>& at, std::uint64_t seed) {
+            AnonymityConfig config =
+                anonymity_cell_config(at[0], at[1], seed, opts.nodes);
+            // One representative capture (CurMix/base, first seed) as
+            // link-record JSONL, for tools/trace_analyze --flows
+            // cross-referencing.
+            if (at[0] == 0 && at[1] == 1 && seed == opts.seed) {
+              config.flow_log_path = opts.flow_log;
+            }
+            return config;
+          },
+      .run = run_anonymity_experiment,
+      .tables =
+          {{"anonymity",
+            nullptr,
+            {Col::mean("pred_succ", "pred_success",
+                       of(&R::predecessor, &Report::success_rate), 3),
+             Col::mean("eq4", "eq4", &R::eq4_identification, 3),
+             Col::mean("compromise", "pred_compromise",
+                       of(&R::predecessor, &Report::compromise_rate), 3),
+             Col::mean("1-(1-f)^k", "exposure", &R::multipath_exposure, 3),
+             Col::mean("pred_H", "pred_entropy",
+                       of(&R::predecessor, &Report::posterior_entropy_bits), 2),
+             Col::mean("corr_succ", "corr_success",
+                       of(&R::correlation, &Report::success_rate), 3),
+             Col::mean("inter_set", "inter_set",
+                       of(&R::intersection, &Report::anonymity_set_mean), 1),
+             Col::count("flows", "flows", &R::flows_recorded),
+             Col::mean(nullptr, "pred_set",
+                       of(&R::predecessor, &Report::anonymity_set_mean), 0),
+             Col::mean(nullptr, "gt_compromise",
+                       &R::ground_truth_compromise_rate, 0),
+             Col::mean(nullptr, "inter_success",
+                       of(&R::intersection, &Report::success_rate), 0),
+             Col::mean(nullptr, "corr_entropy",
+                       of(&R::correlation, &Report::posterior_entropy_bits), 0),
+             Col::mean(nullptr, "corr_set",
+                       of(&R::correlation, &Report::anonymity_set_mean), 0),
+             Col::mean(nullptr, "uniform_entropy", &R::uniform_entropy, 0),
+             Col::count(nullptr, "trials", &R::trials_attempted),
+             Col::count(nullptr, "constructed", &R::trials_constructed),
+             Col::count(nullptr, "cover_messages", &R::cover_messages),
+             Col::count(nullptr, "flows_evicted", &R::flows_evicted)}}},
+      .reading =
+          "Reading: `compromise` is the wire-observed fraction of "
+          "trials whose first relay was an insider; it must track the "
+          "1-(1-f)^k column across the f grid (more paths, more "
+          "exposure — the multipath anonymity cost). `pred_succ` vs "
+          "`eq4` compares the attacker's realized posterior mass on "
+          "the initiator with the paper's closed form. Cover traffic "
+          "leaves the predecessor columns alone but dilutes "
+          "`corr_succ`: timing correlation cannot tell the real sender "
+          "from the dummies. Under churn the intersection set shrinks "
+          "toward the persistent initiator.",
+      .spell_defaults =
+          [](ChaosConfig& spelled) { spelled.environment.link_tap = nullptr; },
+      .report_nodes = true,
   };
-  std::vector<Cell> cells(kProtoCount * kAnonArmCount);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const Job& job = jobs[i];
-    const AnonymityResult& r = results[i];
-    Cell& cell = cells[job.proto * kAnonArmCount + job.arm];
-    cell.pred_success += r.predecessor.success_rate;
-    cell.pred_compromise += r.predecessor.compromise_rate;
-    cell.pred_entropy += r.predecessor.posterior_entropy_bits;
-    cell.pred_set += r.predecessor.anonymity_set_mean;
-    cell.gt_compromise += r.ground_truth_compromise_rate;
-    cell.inter_success += r.intersection.success_rate;
-    cell.inter_set += r.intersection.anonymity_set_mean;
-    cell.corr_success += r.correlation.success_rate;
-    cell.corr_entropy += r.correlation.posterior_entropy_bits;
-    cell.corr_set += r.correlation.anonymity_set_mean;
-    cell.eq4 += r.eq4_identification;
-    cell.exposure += r.multipath_exposure;
-    cell.uniform_entropy += r.uniform_entropy;
-    cell.trials += r.trials_attempted;
-    cell.constructed += r.trials_constructed;
-    cell.cover_msgs += r.cover_messages;
-    cell.flows += r.flows_recorded;
-    cell.evicted += r.flows_evicted;
-  }
-
-  const double denom = static_cast<double>(runs);
-  metrics::Table table({"protocol", "arm", "pred_succ", "eq4",
-                        "compromise", "1-(1-f)^k", "pred_H", "corr_succ",
-                        "inter_set", "flows"});
-  obs::BenchReport report("chaos_anonymity_sweep");
-  for (std::size_t p = 0; p < kProtoCount; ++p) {
-    for (std::size_t a = 0; a < kAnonArmCount; ++a) {
-      const Cell& cell = cells[p * kAnonArmCount + a];
-      const std::string proto = kAnonProtoSlugs[p];
-      const std::string arm = kAnonArms[a].name;
-      const std::string key = proto + "_" + arm;
-      table.add_row(
-          {anonymity_cell_config(p, a, 0, nodes).spec.name(), arm,
-           format_double(cell.pred_success / denom, 3),
-           format_double(cell.eq4 / denom, 3),
-           format_double(cell.pred_compromise / denom, 3),
-           format_double(cell.exposure / denom, 3),
-           format_double(cell.pred_entropy / denom, 2),
-           format_double(cell.corr_success / denom, 3),
-           format_double(cell.inter_set / denom, 1),
-           std::to_string(cell.flows)});
-      report.add("pred_success_" + key, cell.pred_success / denom);
-      report.add("pred_compromise_" + key, cell.pred_compromise / denom);
-      report.add("pred_entropy_" + key, cell.pred_entropy / denom);
-      report.add("pred_set_" + key, cell.pred_set / denom);
-      report.add("gt_compromise_" + key, cell.gt_compromise / denom);
-      report.add("inter_success_" + key, cell.inter_success / denom);
-      report.add("inter_set_" + key, cell.inter_set / denom);
-      report.add("corr_success_" + key, cell.corr_success / denom);
-      report.add("corr_entropy_" + key, cell.corr_entropy / denom);
-      report.add("corr_set_" + key, cell.corr_set / denom);
-      report.add("eq4_" + key, cell.eq4 / denom);
-      report.add("exposure_" + key, cell.exposure / denom);
-      report.add("uniform_entropy_" + key, cell.uniform_entropy / denom);
-      report.add("trials_" + key, cell.trials);
-      report.add("constructed_" + key, cell.constructed);
-      report.add("cover_messages_" + key, cell.cover_msgs);
-      report.add("flows_" + key, cell.flows);
-      report.add("flows_evicted_" + key, cell.evicted);
-    }
-  }
-  std::printf("%s\n", table.render().c_str());
-  std::printf("Reading: `compromise` is the wire-observed fraction of "
-              "trials whose first relay was an insider; it must track the "
-              "1-(1-f)^k column across the f grid (more paths, more "
-              "exposure — the multipath anonymity cost). `pred_succ` vs "
-              "`eq4` compares the attacker's realized posterior mass on "
-              "the initiator with the paper's closed form. Cover traffic "
-              "leaves the predecessor columns alone but dilutes "
-              "`corr_succ`: timing correlation cannot tell the real sender "
-              "from the dummies. Under churn the intersection set shrinks "
-              "toward the persistent initiator.\n");
-
-  // Off means off: the pre-PR chaos control run, once with factory
-  // defaults and once with the observer hook explicitly nulled — the
-  // fingerprints must match the committed baseline byte for byte.
-  const ChaosResult control_default =
-      run_chaos_experiment(control_chaos_config());
-  ChaosConfig spelled = control_chaos_config();
-  spelled.environment.link_tap = nullptr;
-  const ChaosResult control_spelled = run_chaos_experiment(spelled);
-  const bool fingerprint_ok =
-      control_default.fingerprint() == kPrePrFingerprint &&
-      control_spelled.fingerprint() == kPrePrFingerprint;
-  std::printf("control fingerprint: %s\n",
-              fingerprint_ok ? "MATCHES pre-PR baseline"
-                             : "MISMATCH vs pre-PR baseline");
-  if (!fingerprint_ok) {
-    std::printf("  pre-PR:  %s\n  default: %s\n  spelled: %s\n",
-                kPrePrFingerprint, control_default.fingerprint().c_str(),
-                control_spelled.fingerprint().c_str());
-  }
-
-  report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
-  report.add("nodes", static_cast<std::uint64_t>(nodes));
-  report.add_text("pre_pr_fingerprint", kPrePrFingerprint);
-  report.add_text("control_fingerprint", control_default.fingerprint());
-  report.add_text("control_fingerprint_spelled",
-                  control_spelled.fingerprint());
-  report.add("fingerprint_match",
-             static_cast<std::uint64_t>(fingerprint_ok ? 1 : 0));
-  report.add_section("anonymity", table.to_json());
-  if (!report.write_if_requested(json_path)) return 1;
-  return fingerprint_ok ? 0 : 1;
 }
 
-const ChaosScenario kScenarios[] = {
-    ChaosScenario::kFlashCrowdCrash, ChaosScenario::kRollingPartition,
-    ChaosScenario::kLossyLinkEpidemic, ChaosScenario::kCorruptedRelayQuorum,
-    ChaosScenario::kMildLossDrizzle};
+struct SweepEntry {
+  const char* name;
+  int (*run)(const SweepOptions&);
+};
+
+constexpr SweepEntry kSweeps[] = {
+    {"scenario",
+     [](const SweepOptions& o) { return run_sweep(scenario_sweep(o), o); }},
+    {"byzantine",
+     [](const SweepOptions& o) { return run_sweep(byzantine_sweep(o), o); }},
+    {"membership",
+     [](const SweepOptions& o) { return run_sweep(membership_sweep(o), o); }},
+    {"overload",
+     [](const SweepOptions& o) { return run_sweep(overload_sweep(o), o); }},
+    {"anonymity",
+     [](const SweepOptions& o) { return run_sweep(anonymity_sweep(o), o); }},
+};
+
+// --- traced run ------------------------------------------------------------
 
 bool parse_scenario(const std::string& name, ChaosScenario& out) {
   for (const ChaosScenario scenario : kScenarios) {
@@ -1007,9 +1101,20 @@ int run_traced(const std::string& trace_path, const std::string& jsonl_path,
 
 int main(int argc, char** argv) {
   FlagSet flags;
+  auto& sweep = flags.add_string(
+      "sweep", "scenario",
+      "grid to run: scenario (fault scenario x fixed/adaptive timeouts), "
+      "byzantine (corruption probability x protocol x defense arm), "
+      "membership (control-plane faults x recovery arms, with the control "
+      "fingerprint guard), overload (workload shape x protocol x "
+      "shed/drop arm, with the guard) or anonymity (passive observer x "
+      "protocol x {f grid, cover, churn}, with the guard)");
   auto& nodes = flags.add_int("nodes", 96, "network size");
   auto& seed = flags.add_int("seed", 1, "base RNG seed");
-  auto& seeds = flags.add_int("seeds", 6, "runs to average");
+  auto& seeds = flags.add_int(
+      "seeds", 0,
+      "runs per cell (0 = the sweep's default: scenario 6, byzantine 3, "
+      "membership 5, overload 2, anonymity 3)");
   auto& threads = flags.add_int("threads", 0, "worker threads (0 = auto)");
   auto& json_path = obs::add_json_flag(flags);
   auto& trace_path = flags.add_string(
@@ -1030,77 +1135,11 @@ int main(int argc, char** argv) {
   auto& health = flags.add_bool(
       "health", false,
       "run the rolling health scoreboard during the traced run");
-  auto& byzantine = flags.add_bool(
-      "byzantine-sweep", false,
-      "sweep corruption probability x protocol x defense arm instead of "
-      "the scenario sweep (delivered-correct / delivered-wrong / "
-      "failed-closed accounting)");
-  auto& byz_seeds = flags.add_int(
-      "byz-seeds", 3, "seeds per byzantine sweep cell");
-  auto& membership = flags.add_bool(
-      "membership-sweep", false,
-      "sweep control-plane fault scenarios (gossip blackout, leader crash, "
-      "stale/claim poisoning) x recovery arms through the durability "
-      "harness, plus the pre-PR control fingerprint guard");
-  auto& mem_seeds = flags.add_int(
-      "mem-seeds", 5, "seeds per membership sweep cell");
-  auto& overload = flags.add_bool(
-      "overload-sweep", false,
-      "sweep workload shapes (steady/diurnal/flash) x protocols x "
-      "shed-vs-drop arms through bounded relay queues, plus the pre-PR "
-      "control fingerprint guard");
-  auto& ovl_seeds = flags.add_int(
-      "ovl-seeds", 2, "seeds per overload sweep cell");
-  auto& anonymity = flags.add_bool(
-      "anonymity-sweep", false,
-      "tap a passive global observer into the wire and sweep protocol x "
-      "{compromised-f grid, cover traffic, churn}, replaying the flow log "
-      "through the predecessor/intersection/correlation attack engine");
-  auto& anon_seeds = flags.add_int(
-      "anon-seeds", 3, "seeds per anonymity sweep cell");
   auto& flow_log = flags.add_string(
       "flow-log", "",
       "anonymity sweep: dump one cell's captured flow log here as "
       "link-record JSONL (for trace_analyze --flows)");
   flags.parse(argc, argv);
-
-  if (anonymity) {
-    return run_anonymity_sweep(
-        static_cast<std::uint64_t>(seed),
-        static_cast<std::size_t>(anon_seeds),
-        static_cast<std::size_t>(nodes),
-        threads > 0 ? static_cast<std::size_t>(threads)
-                    : default_worker_threads(),
-        json_path, flow_log);
-  }
-
-  if (overload) {
-    return run_overload_sweep(
-        static_cast<std::uint64_t>(seed),
-        static_cast<std::size_t>(ovl_seeds),
-        threads > 0 ? static_cast<std::size_t>(threads)
-                    : default_worker_threads(),
-        json_path);
-  }
-
-  if (membership) {
-    return run_membership_sweep(
-        static_cast<std::uint64_t>(seed),
-        static_cast<std::size_t>(mem_seeds),
-        threads > 0 ? static_cast<std::size_t>(threads)
-                    : default_worker_threads(),
-        json_path);
-  }
-
-  if (byzantine) {
-    return run_byzantine_sweep(
-        static_cast<std::uint64_t>(seed),
-        static_cast<std::size_t>(byz_seeds),
-        static_cast<std::size_t>(nodes),
-        threads > 0 ? static_cast<std::size_t>(threads)
-                    : default_worker_threads(),
-        json_path);
-  }
 
   if (!trace_path.empty()) {
     return run_traced(trace_path, jsonl_path, trace_scenario, trace_adaptive,
@@ -1109,101 +1148,17 @@ int main(int argc, char** argv) {
                       timeseries_path, health);
   }
 
-  const auto runs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
-  const std::size_t workers =
+  const SweepOptions opts{
+      static_cast<std::uint64_t>(seed),
+      static_cast<std::size_t>(seeds),
+      static_cast<std::size_t>(nodes),
       threads > 0 ? static_cast<std::size_t>(threads)
-                  : default_worker_threads();
-
-  std::printf("# Chaos sweep: SimEra(4,2)/random, %d nodes, 512 B every 5 s, "
-              "fixed 5 s timeouts vs adaptive RTO+backoff, %zu seeds\n",
-              static_cast<int>(nodes), runs);
-  metrics::Table table({"scenario", "mode", "attempted delivery",
-                        "accepted delivery", "retx", "violations"});
-  // Per-cause accounting of every datagram that vanished. Each run counts
-  // drops in its private registry (net_drops_total / fault_injections_total);
-  // the sweep folds them into this aggregate registry, labeled by scenario
-  // and mode, and the table below is rendered from it.
-  obs::Registry sweep_metrics;
-  metrics::Table drop_table({"scenario", "mode", "sender-dead",
-                             "recv-dead", "link-loss", "crash", "partition",
-                             "spike-loss", "corrupted", "duplicated"});
-  for (const ChaosScenario scenario : kScenarios) {
-    for (const bool adaptive : {false, true}) {
-      std::vector<ChaosResult> results(runs);
-      parallel_for(runs, workers, [&](std::size_t i) {
-        results[i] = run_chaos_experiment(sweep_config(
-            scenario, static_cast<std::uint64_t>(seed) + i, adaptive,
-            static_cast<std::size_t>(nodes)));
-      });
-      double attempted = 0;
-      double accepted = 0;
-      std::uint64_t retx = 0;
-      std::uint64_t violations = 0;
-      const obs::Labels base{{"scenario", scenario_name(scenario)},
-                             {"mode", adaptive ? "adaptive" : "fixed"}};
-      auto cell = [&](const char* label_key, const char* name,
-                      const char* value) {
-        obs::Labels labels = base;
-        labels[label_key] = value;
-        return sweep_metrics.counter(name, labels);
-      };
-      obs::Counter* drop_cells[] = {
-          cell("cause", "net_drops_total", "sender_dead"),
-          cell("cause", "net_drops_total", "receiver_dead"),
-          cell("cause", "net_drops_total", "link_loss"),
-          cell("kind", "fault_injections_total", "dropped_crash"),
-          cell("kind", "fault_injections_total", "dropped_partition"),
-          cell("kind", "fault_injections_total", "dropped_loss"),
-          cell("kind", "fault_injections_total", "corrupted"),
-          cell("kind", "fault_injections_total", "duplicated")};
-      for (const ChaosResult& result : results) {
-        attempted += result.attempted_delivery_rate();
-        accepted += result.delivery_rate();
-        retx += result.segments_retransmitted;
-        violations += result.messages_unaccounted + result.total_leaks() +
-                      (result.ledger_closed() ? 0 : 1);
-        drop_cells[0]->inc(result.drops.sender_dead);
-        drop_cells[1]->inc(result.drops.receiver_dead);
-        drop_cells[2]->inc(result.drops.link_loss);
-        drop_cells[3]->inc(result.faults.dropped_crash);
-        drop_cells[4]->inc(result.faults.dropped_partition);
-        drop_cells[5]->inc(result.faults.dropped_loss);
-        drop_cells[6]->inc(result.faults.corrupted);
-        drop_cells[7]->inc(result.faults.duplicated);
-      }
-      const double denom = static_cast<double>(runs);
-      const char* mode_name = adaptive ? "adaptive" : "fixed";
-      table.add_row({scenario_name(scenario), mode_name,
-                     format_double(100.0 * attempted / denom, 1) + "%",
-                     format_double(100.0 * accepted / denom, 1) + "%",
-                     std::to_string(retx), std::to_string(violations)});
-      std::vector<std::string> drop_row{scenario_name(scenario), mode_name};
-      for (const obs::Counter* counter : drop_cells) {
-        drop_row.push_back(std::to_string(counter->value()));
-      }
-      drop_table.add_row(std::move(drop_row));
-    }
+                  : default_worker_threads(),
+      json_path,
+      flow_log};
+  for (const SweepEntry& entry : kSweeps) {
+    if (sweep == entry.name) return entry.run(opts);
   }
-  std::printf("%s\n", table.render().c_str());
-  std::printf("# Datagram loss by cause (summed over seeds)\n%s\n",
-              drop_table.render().c_str());
-  std::printf("Reading: the adaptive mode's RTT-tracked timeouts and "
-              "retransmission over surviving paths recover individual "
-              "datagram losses that fixed 5 s timeouts escalate into path "
-              "teardowns, so it leads on the attempted ratio wherever "
-              "links are lossy or relays corrupt traffic. Under pure "
-              "crash/partition faults the tradeoff reverses: there "
-              "retransmission cannot help (the path is dead, not lossy) "
-              "and the fixed mode's unbounded rebuild-and-resend loop "
-              "beats the adaptive mode's bounded retry budget. Violations "
-              "must read 0 — every run also upholds the conservation, "
-              "ledger, and no-leak invariants asserted by chaos_test.\n");
-
-  obs::BenchReport report("chaos_sweep");
-  report.add("runs_per_cell", static_cast<std::uint64_t>(runs));
-  report.add_section("delivery", table.to_json());
-  report.add_section("drops_by_cause", drop_table.to_json());
-  if (!report.write_if_requested(json_path, &sweep_metrics)) return 1;
-  return 0;
+  std::fprintf(stderr, "chaos_sweep: unknown --sweep '%s'\n", sweep.c_str());
+  return 1;
 }

@@ -1,6 +1,6 @@
 // Capacity scale probe: events/sec, memory footprint and event-type time
 // shares across network sizes — the data behind BENCH_scale.json and the
-// scripts/check_bench_scale.py CI gate (ROADMAP "push N toward 100k").
+// scripts/check_bench.py CI gate (ROADMAP "push N toward 100k").
 //
 // One arm = (N, scenario). Per arm the probe builds a full Environment
 // with the capacity loop profiler attached, runs a bounded number of

@@ -32,7 +32,7 @@
 //                       repair + bounded-trust merging + per-node RNG
 //                       (+ deterministic leader failover under OneHop).
 //
-// The CI gate (scripts/check_bench_membership.py over BENCH_membership.json)
+// The CI gate (scripts/check_bench.py over BENCH_membership.json)
 // asserts the resilient arm's durability never falls below the random floor
 // under gossip blackout — i.e. the recovery machinery restores at least as
 // much selection quality as admitting total ignorance.

@@ -9,6 +9,13 @@ namespace p2panon::harness {
 
 namespace {
 
+/// Loop-profiler type of every event this experiment schedules: the
+/// per-node construction arrivals and the probes' deferred deletes.
+obs::capacity::EventTypeId setup_event() {
+  static const auto id = obs::capacity::event_type("harness.setup");
+  return id;
+}
+
 /// One construction probe: a throwaway session making a single whole-set
 /// attempt. Self-deletes after reporting.
 class Probe {
@@ -25,9 +32,8 @@ class Probe {
       ratio_.record(ok);
       if (ok) session_->teardown();
       // Defer deletion: we are inside the session's own callback.
-      env.simulator().schedule_after(
-          0, [this] { delete this; },
-          obs::capacity::event_type("harness.setup"));
+      env.simulator().schedule_after(0, [this] { delete this; },
+                                     setup_event());
     });
   }
 
@@ -63,8 +69,6 @@ PathSetupResult run_path_setup_experiment(const PathSetupConfig& config) {
   std::function<void(NodeId)> schedule_next = [&](NodeId node) {
     const SimDuration gap =
         from_seconds(env.rng().exponential(config.event_interarrival_seconds));
-    static const auto kSetupEvent =
-        obs::capacity::event_type("harness.setup");
     env.simulator().schedule_after(gap, [&, node] {
       const SimTime now = env.simulator().now();
       if (now <= measure_end) schedule_next(node);
@@ -78,7 +82,7 @@ PathSetupResult run_path_setup_experiment(const PathSetupConfig& config) {
         new Probe(env, config.specs[s], base_session, node, responder,
                   result.success[s], outstanding);
       }
-    });
+    }, setup_event());
   };
 
   env.start();

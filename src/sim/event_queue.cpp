@@ -48,16 +48,21 @@ SimTime EventQueue::next_time() {
 }
 
 EventQueue::Ready EventQueue::pop() {
+  std::optional<Ready> ready = pop_due(kNeverTime);
+  if (!ready) throw std::logic_error("EventQueue::pop on empty queue");
+  return std::move(*ready);
+}
+
+std::optional<EventQueue::Ready> EventQueue::pop_due(SimTime deadline) {
   drop_stale_head();
-  if (heap_.empty()) {
-    throw std::logic_error("EventQueue::pop on empty queue");
-  }
+  if (heap_.empty() || heap_.front().time > deadline) return std::nullopt;
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const Key top = heap_.back();
   heap_.pop_back();
   Slot& s = slots_[top.slot];
-  Ready ready{top.time, (static_cast<EventId>(top.gen) << 32) | top.slot,
-              std::move(s.fn), s.corr, s.type};
+  std::optional<Ready> ready(
+      std::in_place, top.time, (static_cast<EventId>(top.gen) << 32) | top.slot,
+      std::move(s.fn), s.corr, s.type);
   release(top.slot);
   return ready;
 }

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/time.hpp"
@@ -74,6 +75,11 @@ class EventQueue {
     obs::capacity::EventTypeId type;
   };
   Ready pop();
+
+  /// The simulator loop's single head check: drops stale keys once, then
+  /// pops the earliest pending event if its time is <= `deadline`;
+  /// nullopt when the queue is empty or its head lies beyond `deadline`.
+  std::optional<Ready> pop_due(SimTime deadline);
 
   /// Drops all pending events. Ids issued before stay invalid.
   void clear();

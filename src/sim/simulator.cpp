@@ -19,34 +19,31 @@ EventId Simulator::schedule_after(SimDuration delay, EventQueue::Callback fn,
   return queue_.schedule(now_ + delay, std::move(fn), type);
 }
 
-bool Simulator::step() {
-  if (queue_.next_time() == kNeverTime) return false;
-  auto ready = queue_.pop();
-  now_ = ready.time;
+bool Simulator::step(SimTime deadline) {
+  std::optional<EventQueue::Ready> ready = queue_.pop_due(deadline);
+  if (!ready) return false;
+  now_ = ready->time;
   ++executed_;
   // Restore the correlation id captured at schedule() time so everything the
   // callback does (including scheduling further events) stays on the chain.
-  obs::CorrelationScope scope(ready.corr);
+  obs::CorrelationScope scope(ready->corr);
   if (profiler_ != nullptr) {
-    profiler_->dispatch(ready.type, ready.fn);
+    profiler_->dispatch(ready->type, ready->fn);
   } else {
-    ready.fn();
+    ready->fn();
   }
   return true;
 }
 
 void Simulator::run() {
   stopped_ = false;
-  while (!stopped_ && step()) {
+  while (!stopped_ && step(kNeverTime)) {
   }
 }
 
 void Simulator::run_until(SimTime deadline) {
   stopped_ = false;
-  while (!stopped_) {
-    const SimTime next = queue_.next_time();
-    if (next == kNeverTime || next > deadline) break;
-    step();
+  while (!stopped_ && step(deadline)) {
   }
   if (!stopped_ && now_ < deadline) now_ = deadline;
 }
@@ -54,7 +51,7 @@ void Simulator::run_until(SimTime deadline) {
 std::size_t Simulator::run_steps(std::size_t max_events) {
   stopped_ = false;
   std::size_t n = 0;
-  while (n < max_events && !stopped_ && step()) ++n;
+  while (n < max_events && !stopped_ && step(kNeverTime)) ++n;
   return n;
 }
 

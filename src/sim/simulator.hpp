@@ -79,7 +79,9 @@ class Simulator : public Clock {
   obs::capacity::LoopProfiler* profiler() const { return profiler_; }
 
  private:
-  bool step();  // fires one event; false when queue empty
+  /// Fires the earliest event if its time is <= deadline; false when the
+  /// queue is empty or its head lies beyond the deadline.
+  bool step(SimTime deadline);
 
   EventQueue queue_;
   SimTime now_ = 0;

@@ -11,6 +11,7 @@
 
 #include "common/alloc_probe.hpp"
 #include "harness/environment.hpp"
+#include "harness/path_setup_experiment.hpp"
 #include "obs/capacity/census.hpp"
 #include "obs/capacity/loop_profiler.hpp"
 #include "obs/capacity/rusage.hpp"
@@ -268,6 +269,32 @@ TEST(ByteCensusTest, EnvironmentCensusCoversTheBigStructures) {
   EXPECT_GT(census.subsystem_total("router"), 0u);
   EXPECT_GT(census.subsystem_total("pki"), 0u);
   EXPECT_GT(census.total(), 0u);
+}
+
+// --- typed harness events ---------------------------------------------------
+
+TEST(LoopProfilerTest, PathSetupArrivalsAreTyped) {
+  // Every per-node construction arrival is a harness.setup event, whether
+  // or not it lands in the measured window at an up node, and each probe's
+  // deferred delete is one more. With one spec the deletes alone never
+  // exceed result.events, so only typed arrivals push the count past it.
+  LoopProfiler profiler;
+  harness::PathSetupConfig config;
+  config.environment.num_nodes = 32;
+  config.environment.seed = 5;
+  config.environment.loop_profiler = &profiler;
+  config.warmup = 5 * kMinute;
+  config.measure = 10 * kMinute;
+  config.event_interarrival_seconds = 60.0;
+  config.specs = {anon::ProtocolSpec::curmix(anon::MixChoice::kRandom)};
+  const auto result = harness::run_path_setup_experiment(config);
+  ASSERT_GT(result.events, 0u);
+
+  std::uint64_t setup_dispatches = 0;
+  for (const auto& type : profiler.report().types) {
+    if (type.name == "harness.setup") setup_dispatches = type.dispatches;
+  }
+  EXPECT_GT(setup_dispatches, result.events);
 }
 
 // --- resource usage ---------------------------------------------------------

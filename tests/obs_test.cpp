@@ -17,7 +17,6 @@
 #include "obs/capacity/loop_profiler.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 
@@ -225,21 +224,6 @@ TEST(JsonlSinkTest, ChainsAreSampledAsAUnitAndLinesParse) {
   for (const std::string& line : sink.lines()) {
     EXPECT_TRUE(json_valid(line)) << line;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Profiling scopes
-
-TEST(ProfileTest, ScopedTimerRecordsOnlyWhenEnabled) {
-  Registry reg;
-  HdrHistogram* hist = reg.histogram("step_ns");
-  ASSERT_FALSE(profiling_enabled());
-  { ScopedTimer timer(hist); }
-  EXPECT_EQ(hist->count(), 0u);
-  set_profiling_enabled(true);
-  { ScopedTimer timer(hist); }
-  set_profiling_enabled(false);
-  EXPECT_EQ(hist->count(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -157,6 +157,28 @@ TEST(EventQueueTest, SameTimeInsertionOrderAcrossSlotReuse) {
   EXPECT_EQ(fired, (std::vector<int>{0, 3, 5, 6, 7, 8, 9}));
 }
 
+TEST(EventQueueTest, PopDueSkipsTombstonesAndHonorsDeadline) {
+  EventQueue queue;
+  std::vector<int> fired;
+  const EventId dead = queue.schedule(1, [&] { fired.push_back(-1); });
+  queue.schedule(2, [&] { fired.push_back(2); });
+  queue.schedule(5, [&] { fired.push_back(5); });
+  queue.cancel(dead);
+  // The tombstone at t=1 is dropped, the live head at t=2 is due.
+  auto ready = queue.pop_due(4);
+  ASSERT_TRUE(ready.has_value());
+  EXPECT_EQ(ready->time, 2);
+  ready->fn();
+  // The next head lies beyond the deadline: nothing is popped.
+  EXPECT_FALSE(queue.pop_due(4).has_value());
+  EXPECT_EQ(queue.size(), 1u);
+  ready = queue.pop_due(5);
+  ASSERT_TRUE(ready.has_value());
+  ready->fn();
+  EXPECT_FALSE(queue.pop_due(kNeverTime).has_value());
+  EXPECT_EQ(fired, (std::vector<int>{2, 5}));
+}
+
 TEST(SimulatorTest, TimeAdvancesWithEvents) {
   Simulator simulator;
   SimTime seen = -1;
