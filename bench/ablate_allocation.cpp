@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   auto& trials = flags.add_int("trials", 200000, "Monte-Carlo trials per cell");
   auto& seed = flags.add_int("seed", 1, "RNG seed");
   auto& json_path = obs::add_json_flag(flags);
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   const auto n_trials = static_cast<std::size_t>(
       static_cast<double>(trials) * bench_scale());
 

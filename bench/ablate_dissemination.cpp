@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   auto& seed = flags.add_int("seed", 1, "RNG seed");
   auto& minutes = flags.add_int("minutes", 30, "simulated minutes");
   auto& json_path = obs::add_json_flag(flags);
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   const auto horizon = static_cast<SimDuration>(
       static_cast<double>(minutes) * bench_scale()) * kMinute;
 

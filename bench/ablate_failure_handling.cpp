@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   auto& seeds = flags.add_int("seeds", 6, "runs to average");
   auto& threads = flags.add_int("threads", 0, "worker threads (0 = auto)");
   auto& json_path = obs::add_json_flag(flags);
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   const auto runs = std::max<std::size_t>(
       1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
   const std::size_t workers =

@@ -1139,7 +1139,7 @@ int main(int argc, char** argv) {
       "flow-log", "",
       "anonymity sweep: dump one cell's captured flow log here as "
       "link-record JSONL (for trace_analyze --flows)");
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
 
   if (!trace_path.empty()) {
     return run_traced(trace_path, jsonl_path, trace_scenario, trace_adaptive,

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   auto& noise = flags.add_double("noise", 0.15,
                                  "lognormal measurement noise (sigma)");
   auto& json_path = obs::add_json_flag(flags);
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   const auto n = static_cast<std::size_t>(
       static_cast<double>(samples) * bench_scale());
 

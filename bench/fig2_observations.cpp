@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   auto& L = flags.add_int("L", 3, "relays per path");
   auto& k_max = flags.add_int("kmax", 20, "max number of paths");
   auto& json_path = obs::add_json_flag(flags);
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   const auto mc_trials = static_cast<std::size_t>(
       static_cast<double>(trials) * bench_scale());
 

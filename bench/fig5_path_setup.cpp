@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
       "per-node event inter-arrival (s); 928 s gives ~2000 events");
   auto& k_max = flags.add_int("kmax", 20, "max number of paths");
   auto& json_path = obs::add_json_flag(flags);
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
 
   PathSetupConfig config;
   config.environment.num_nodes = static_cast<std::size_t>(nodes);

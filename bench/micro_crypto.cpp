@@ -7,11 +7,12 @@
 //     64 KiB for the AEAD and onion-layer data plane;
 //   * --json <path>: hand-rolled timing harness that writes a BenchReport
 //     document (same shape as micro_erasure's --json) with ChaCha20 /
-//     AEAD / onion-layer throughput, the speedup of the dispatched ChaCha20
-//     kernel over the in-binary scalar reference, and the heap-allocation
-//     count of the pooled in-place relay path (0 in steady state; the
-//     counting operator new hooks are linked into this binary). CI diffs
-//     this against the committed BENCH_crypto.json baseline.
+//     AEAD / onion-layer throughput, X25519 and sealed-box rates, the
+//     speedup of the dispatched ChaCha20 kernel over the in-binary scalar
+//     reference, and the heap-allocation count of the pooled in-place
+//     relay path (0 in steady state; the counting operator new hooks are
+//     linked into this binary). CI diffs this against the committed
+//     BENCH_crypto.json baseline.
 //
 // Benchmarks use the out-of-place chacha20_xor so every iteration sees the
 // same plaintext (the old in-place loop re-encrypted its own output, so the
@@ -347,6 +348,27 @@ int run_json_report(const std::string& path) {
              static_cast<std::uint64_t>(alloc_probe::active() ? 1 : 0));
   report.add("relay_path_allocs",
              (allocs_after - allocs_before) / kProbeRounds);
+
+  // Public-key rates in calls per second (one unit per call): one X25519
+  // scalar multiplication, and the sealed box that carries every onion
+  // payload core (seal = two ladders, open = one).
+  const KeyPair alice = KeyPair::generate(rng);
+  const KeyPair bob = KeyPair::generate(rng);
+  report.add("x25519_per_s", measure_bytes_per_sec(1, [&] {
+               auto shared = x25519(alice.private_key, bob.public_key);
+               benchmark::DoNotOptimize(shared.data());
+             }));
+  Bytes box_msg(1024);
+  rng.fill(box_msg.data(), box_msg.size());
+  report.add("sealed_box_seal_per_s", measure_bytes_per_sec(1, [&] {
+               auto sealed = sealed_box_seal(bob.public_key, box_msg, rng);
+               benchmark::DoNotOptimize(sealed.data());
+             }));
+  const Bytes box = sealed_box_seal(bob.public_key, box_msg, rng);
+  report.add("sealed_box_open_per_s", measure_bytes_per_sec(1, [&] {
+               auto opened = sealed_box_open(bob, box);
+               benchmark::DoNotOptimize(opened);
+             }));
 
   return report.write_if_requested(path) ? 0 : 1;
 }

@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
   auto& stride =
       flags.add_int("stride", 16, "profiler sampling stride (1 = every event)");
   auto& json_path = obs::add_json_flag(flags);
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
 
   const auto sizes = parse_sizes(sizes_csv);
   std::vector<std::string> scenario_names;

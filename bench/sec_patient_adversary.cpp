@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   auto& L = flags.add_int("L", 3, "relays per path");
   auto& trials = flags.add_int("trials", 2000, "path sets per (f, mix)");
   auto& json_path = obs::add_json_flag(flags);
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   const auto n_trials = std::max<std::size_t>(
       50, static_cast<std::size_t>(static_cast<double>(trials) * bench_scale()));
 

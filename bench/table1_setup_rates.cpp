@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   auto& interarrival =
       flags.add_double("interarrival", 116.0, "per-node inter-arrival (s)");
   auto& json_path = obs::add_json_flag(flags);
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
 
   PathSetupConfig config;
   config.environment.num_nodes = static_cast<std::size_t>(nodes);

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
       "health", false,
       "after the sweep, run one diagnostic SimEra biased run with the "
       "rolling health scoreboard (30 s windows) and print it");
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   const auto runs = std::max<std::size_t>(
       1, static_cast<std::size_t>(static_cast<double>(seeds) * bench_scale()));
   const std::size_t workers =

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   auto& nodes = flags.add_int("nodes", 1024, "anonymity set size N");
   auto& attackers =
       flags.add_double("attackers", 0.1, "fraction of colluding nodes f");
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
 
   const auto path_len = static_cast<std::size_t>(L);
   const double p = path_success_probability(availability, path_len);

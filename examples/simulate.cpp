@@ -3,8 +3,7 @@
 // metrics (setup success, durability, latency, bandwidth) for that single
 // configuration.
 //
-//   ./build/examples/simulate --protocol simera --k 4 --r 2 --mix biased \
-//       --nodes 512 --median 1800 --seeds 5
+//   ./build/examples/simulate --protocol simera --k 4 --r 2 --median 1800
 //
 // This is the fastest way to explore parameterizations the paper's tables
 // don't cover (and what bench/table*_ binaries are specializations of).
@@ -42,7 +41,7 @@ int main(int argc, char** argv) {
   auto& setup_events = flags.add_int(
       "setup-events", 1000, "approximate construction probes for the setup "
                             "success metric (0 = skip)");
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
 
   const anon::MixChoice mix_choice =
       to_lower(mix) == "random" ? anon::MixChoice::kRandom

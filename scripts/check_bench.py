@@ -21,9 +21,10 @@ Per bench, what the rules claim:
       succeeds), bandwidth CurMix <= SimRep <= SimEra (redundancy costs).
       The random column is deliberately NOT gated: with few seeds its
       durability is dominated by one Pareto draw.
-  micro_erasure / micro_crypto  throughput within THRESHOLD of the
-      committed baseline (a same-hardware relative gate; the 20% slack
-      absorbs noise); ChaCha20 dispatch >= MIN_SPEEDUP x the in-binary
+  micro_erasure / micro_crypto  throughput (and, for crypto, the X25519
+      and sealed-box seal/open rates) within THRESHOLD of the committed
+      baseline (a same-hardware relative gate; the 20% slack absorbs
+      noise); ChaCha20 dispatch >= MIN_SPEEDUP x the in-binary
       scalar reference (a same-run ratio, so safe to gate absolutely);
       the pooled in-place relay path makes zero heap allocations, with the
       counting alloc-probe hooks provably linked.
@@ -413,7 +414,8 @@ RULES = {
         Bound("alloc_probe_active", "==", 1),
         Bound("relay_path_allocs", "==", 0),
         Ratio(("chacha20_MBps", "aead_seal_MBps", "aead_open_MBps",
-               "relay_layer_MBps"), THRESHOLD),
+               "relay_layer_MBps", "x25519_per_s", "sealed_box_seal_per_s",
+               "sealed_box_open_per_s"), THRESHOLD),
     ], baseline="BENCH_crypto.json"),
     "chaos_byzantine_sweep": RuleSet([
         Bound(rows_sum("byzantine", "wrong", arm=TAG_ARMS), "==", 0),

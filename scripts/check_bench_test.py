@@ -77,6 +77,8 @@ MUTANTS = {
         ("relay path allocates", set_value("relay_path_allocs", 1)),
         ("chacha20 speedup below the floor",
          set_value("chacha20_speedup", 2.9)),
+        ("x25519 rate below 80% of the baseline",
+         scale_value("x25519_per_s", 0.75)),
     ],
     "BENCH_byzantine.json": [
         ("tags arm delivers wrong bytes",

@@ -109,7 +109,10 @@ void FlagSet::parse(int argc, char** argv) {
     } else {
       name = arg;
       auto it = flags_.find(name);
-      if (it != flags_.end() && it->second.kind == Kind::Bool) {
+      if (it == flags_.end()) {
+        throw std::invalid_argument("unknown flag --" + name);
+      }
+      if (it->second.kind == Kind::Bool) {
         it->second.bool_value = true;
         continue;
       }
@@ -135,6 +138,15 @@ void FlagSet::parse(int argc, char** argv) {
       case Kind::String: value << flag.string_value; break;
     }
     snapshot[name] = value.str();
+  }
+}
+
+void FlagSet::parse_or_exit(int argc, char** argv) {
+  try {
+    parse(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n%s", e.what(), usage(argv[0]).c_str());
+    std::exit(2);
   }
 }
 

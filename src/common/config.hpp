@@ -4,7 +4,7 @@
 //   FlagSet flags;
 //   auto& seed = flags.add_int("seed", 1, "RNG seed");
 //   auto& nodes = flags.add_int("nodes", 1024, "network size");
-//   flags.parse(argc, argv);   // accepts --name=value and --name value
+//   flags.parse_or_exit(argc, argv);  // --name=value and --name value
 //
 // Unknown flags are an error; `--help` prints usage and exits(0). Scale-down
 // for CI is supported uniformly through the P2PANON_BENCH_SCALE environment
@@ -30,6 +30,11 @@ class FlagSet {
   /// Parses argv; on --help prints usage and std::exit(0); throws
   /// std::invalid_argument on unknown flags or malformed values.
   void parse(int argc, char** argv);
+
+  /// parse() for a program's main(): an unknown flag or malformed value
+  /// prints "error: <reason>" and the usage to stderr and exits with
+  /// status 2 instead of escaping main() as an uncaught exception.
+  void parse_or_exit(int argc, char** argv);
 
   std::string usage(const std::string& program) const;
 

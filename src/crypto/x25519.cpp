@@ -7,120 +7,122 @@ namespace p2panon::crypto {
 namespace {
 
 // Field element mod p = 2^255 - 19, five 51-bit limbs, little-endian.
+//
+// Reduction is lazy. fe_mul / fe_sq / fe_mul_small accept limbs < 2^54 and
+// return limbs < 2^52; fe_add / fe_sub of two such outputs stay < 2^54, so
+// they are fed straight into the next multiply without a carry pass. Every
+// value is exact mod p; fe_to_bytes canonicalizes.
 struct Fe {
   std::uint64_t v[5];
 };
+
+using u128 = unsigned __int128;
 
 constexpr std::uint64_t kMask51 = (1ULL << 51) - 1;
 
 Fe fe_zero() { return Fe{{0, 0, 0, 0, 0}}; }
 Fe fe_one() { return Fe{{1, 0, 0, 0, 0}}; }
 
+// Limbs < 2^52 each: the sum stays < 2^53.
 Fe fe_add(const Fe& a, const Fe& b) {
-  Fe out;
-  for (int i = 0; i < 5; ++i) out.v[i] = a.v[i] + b.v[i];
-  return out;
+  return Fe{{a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2],
+             a.v[3] + b.v[3], a.v[4] + b.v[4]}};
 }
 
-// a - b, adding 2p to keep limbs non-negative.
+// a - b + 4p. 4p's limbs (~2^53) exceed any limb of b < 2^52, so no limb
+// goes negative, and a + 4p < 2^52 + 2^53 < 2^54.
 Fe fe_sub(const Fe& a, const Fe& b) {
-  // 2p in 51-bit limbs: (2^255 - 19) * 2
-  static constexpr std::uint64_t two_p[5] = {
-      0xfffffffffffdaULL, 0xffffffffffffeULL, 0xffffffffffffeULL,
-      0xffffffffffffeULL, 0xffffffffffffeULL};
-  Fe out;
-  for (int i = 0; i < 5; ++i) out.v[i] = a.v[i] + two_p[i] - b.v[i];
-  return out;
+  constexpr std::uint64_t kFourP0 = 4 * (kMask51 - 18);  // 4 * (2^51 - 19)
+  constexpr std::uint64_t kFourP = 4 * kMask51;          // 4 * (2^51 - 1)
+  return Fe{{a.v[0] + kFourP0 - b.v[0], a.v[1] + kFourP - b.v[1],
+             a.v[2] + kFourP - b.v[2], a.v[3] + kFourP - b.v[3],
+             a.v[4] + kFourP - b.v[4]}};
 }
 
-void fe_carry(Fe& f) {
-  for (int pass = 0; pass < 2; ++pass) {
-    for (int i = 0; i < 4; ++i) {
-      f.v[i + 1] += f.v[i] >> 51;
-      f.v[i] &= kMask51;
-    }
-    f.v[0] += 19 * (f.v[4] >> 51);
-    f.v[4] &= kMask51;
-  }
+// Carries five 128-bit column sums h_i (weight 2^(51 i)) into limbs < 2^52,
+// folding the overflow past 2^255 back in as 19 * carry. For inputs < 2^54
+// the largest column is 77 * 2^108 < 2^115, and h4 plus its incoming carry
+// is < 5 * 2^108 + 2^62, so the top carry is < 2^59.4 and 19 * carry plus a
+// 51-bit limb still fits in 64 bits. Forced inline: called out of line, the
+// ten 64-bit halves of its arguments spill to the stack on every multiply.
+__attribute__((always_inline)) inline Fe fe_reduce(u128 h0, u128 h1, u128 h2,
+                                                   u128 h3, u128 h4) {
+  h1 += static_cast<std::uint64_t>(h0 >> 51);
+  h2 += static_cast<std::uint64_t>(h1 >> 51);
+  h3 += static_cast<std::uint64_t>(h2 >> 51);
+  h4 += static_cast<std::uint64_t>(h3 >> 51);
+  std::uint64_t r0 = (static_cast<std::uint64_t>(h0) & kMask51) +
+                     19 * static_cast<std::uint64_t>(h4 >> 51);
+  const std::uint64_t r1 =
+      (static_cast<std::uint64_t>(h1) & kMask51) + (r0 >> 51);
+  r0 &= kMask51;
+  return Fe{{r0, r1, static_cast<std::uint64_t>(h2) & kMask51,
+             static_cast<std::uint64_t>(h3) & kMask51,
+             static_cast<std::uint64_t>(h4) & kMask51}};
 }
 
 Fe fe_mul(const Fe& f, const Fe& g) {
-  using u128 = unsigned __int128;
   const std::uint64_t f0 = f.v[0], f1 = f.v[1], f2 = f.v[2], f3 = f.v[3],
                       f4 = f.v[4];
   const std::uint64_t g0 = g.v[0], g1 = g.v[1], g2 = g.v[2], g3 = g.v[3],
                       g4 = g.v[4];
   const std::uint64_t g1_19 = 19 * g1, g2_19 = 19 * g2, g3_19 = 19 * g3,
                       g4_19 = 19 * g4;
-
-  u128 h0 = (u128)f0 * g0 + (u128)f1 * g4_19 + (u128)f2 * g3_19 +
-            (u128)f3 * g2_19 + (u128)f4 * g1_19;
-  u128 h1 = (u128)f0 * g1 + (u128)f1 * g0 + (u128)f2 * g4_19 +
-            (u128)f3 * g3_19 + (u128)f4 * g2_19;
-  u128 h2 = (u128)f0 * g2 + (u128)f1 * g1 + (u128)f2 * g0 +
-            (u128)f3 * g4_19 + (u128)f4 * g3_19;
-  u128 h3 = (u128)f0 * g3 + (u128)f1 * g2 + (u128)f2 * g1 + (u128)f3 * g0 +
-            (u128)f4 * g4_19;
-  u128 h4 = (u128)f0 * g4 + (u128)f1 * g3 + (u128)f2 * g2 + (u128)f3 * g1 +
-            (u128)f4 * g0;
-
-  // Carry chain over 128-bit accumulators.
-  std::uint64_t r0, r1, r2, r3, r4;
-  std::uint64_t carry;
-
-  r0 = (std::uint64_t)h0 & kMask51;
-  carry = (std::uint64_t)(h0 >> 51);
-  h1 += carry;
-  r1 = (std::uint64_t)h1 & kMask51;
-  carry = (std::uint64_t)(h1 >> 51);
-  h2 += carry;
-  r2 = (std::uint64_t)h2 & kMask51;
-  carry = (std::uint64_t)(h2 >> 51);
-  h3 += carry;
-  r3 = (std::uint64_t)h3 & kMask51;
-  carry = (std::uint64_t)(h3 >> 51);
-  h4 += carry;
-  r4 = (std::uint64_t)h4 & kMask51;
-  carry = (std::uint64_t)(h4 >> 51);
-  r0 += 19 * carry;
-  carry = r0 >> 51;
-  r0 &= kMask51;
-  r1 += carry;
-
-  return Fe{{r0, r1, r2, r3, r4}};
+  return fe_reduce(
+      (u128)f0 * g0 + (u128)f1 * g4_19 + (u128)f2 * g3_19 +
+          (u128)f3 * g2_19 + (u128)f4 * g1_19,
+      (u128)f0 * g1 + (u128)f1 * g0 + (u128)f2 * g4_19 + (u128)f3 * g3_19 +
+          (u128)f4 * g2_19,
+      (u128)f0 * g2 + (u128)f1 * g1 + (u128)f2 * g0 + (u128)f3 * g4_19 +
+          (u128)f4 * g3_19,
+      (u128)f0 * g3 + (u128)f1 * g2 + (u128)f2 * g1 + (u128)f3 * g0 +
+          (u128)f4 * g4_19,
+      (u128)f0 * g4 + (u128)f1 * g3 + (u128)f2 * g2 + (u128)f3 * g1 +
+          (u128)f4 * g0);
 }
 
-Fe fe_sqr(const Fe& f) { return fe_mul(f, f); }
+// f^2 with the symmetric cross terms doubled once: 15 limb products. The
+// column sums equal fe_mul(f, f)'s exactly.
+Fe fe_sq(const Fe& f) {
+  const std::uint64_t f0 = f.v[0], f1 = f.v[1], f2 = f.v[2], f3 = f.v[3],
+                      f4 = f.v[4];
+  const std::uint64_t f0_2 = 2 * f0, f1_2 = 2 * f1, f2_2 = 2 * f2,
+                      f3_2 = 2 * f3;
+  const std::uint64_t f3_19 = 19 * f3, f4_19 = 19 * f4;
+  return fe_reduce(
+      (u128)f0 * f0 + (u128)f1_2 * f4_19 + (u128)f2_2 * f3_19,
+      (u128)f0_2 * f1 + (u128)f2_2 * f4_19 + (u128)f3 * f3_19,
+      (u128)f0_2 * f2 + (u128)f1 * f1 + (u128)f3_2 * f4_19,
+      (u128)f0_2 * f3 + (u128)f1_2 * f2 + (u128)f4 * f4_19,
+      (u128)f0_2 * f4 + (u128)f1_2 * f3 + (u128)f2 * f2);
+}
+
+// f squared n >= 1 times.
+Fe fe_sq_n(Fe f, int n) {
+  for (int i = 0; i < n; ++i) f = fe_sq(f);
+  return f;
+}
 
 Fe fe_mul_small(const Fe& f, std::uint64_t s) {
-  using u128 = unsigned __int128;
-  u128 acc[5];
-  for (int i = 0; i < 5; ++i) acc[i] = (u128)f.v[i] * s;
-  std::uint64_t r[5];
-  std::uint64_t carry = 0;
-  for (int i = 0; i < 5; ++i) {
-    acc[i] += carry;
-    r[i] = (std::uint64_t)acc[i] & kMask51;
-    carry = (std::uint64_t)(acc[i] >> 51);
-  }
-  r[0] += 19 * carry;
-  Fe out{{r[0], r[1], r[2], r[3], r[4]}};
-  fe_carry(out);
-  return out;
+  return fe_reduce((u128)f.v[0] * s, (u128)f.v[1] * s, (u128)f.v[2] * s,
+                   (u128)f.v[3] * s, (u128)f.v[4] * s);
 }
 
-// Inversion via Fermat: f^(p-2), square-and-multiply over p-2's bits.
+// Inversion via Fermat, f^(p-2) with p - 2 = 2^255 - 21, along ref10's
+// addition chain: 254 squarings and 11 multiplies. zA_B = f^(2^A - 2^B).
 Fe fe_invert(const Fe& f) {
-  // p - 2 = 2^255 - 21 = (2^255 - 1) - 20: bits 0..254 are all 1 except
-  // bits 2 and 4 (low byte 0xeb = 0b11101011).
-  Fe result = fe_one();
-  Fe base = f;
-  for (int bit = 0; bit < 255; ++bit) {
-    const bool set = !(bit == 2 || bit == 4);
-    if (set) result = fe_mul(result, base);
-    base = fe_sqr(base);
-  }
-  return result;
+  const Fe z2 = fe_sq(f);                                  // f^2
+  const Fe z9 = fe_mul(fe_sq_n(z2, 2), f);                 // f^9
+  const Fe z11 = fe_mul(z9, z2);                           // f^11
+  const Fe z5_0 = fe_mul(fe_sq(z11), z9);                  // f^(2^5 - 1)
+  const Fe z10_0 = fe_mul(fe_sq_n(z5_0, 5), z5_0);
+  const Fe z20_0 = fe_mul(fe_sq_n(z10_0, 10), z10_0);
+  const Fe z40_0 = fe_mul(fe_sq_n(z20_0, 20), z20_0);
+  const Fe z50_0 = fe_mul(fe_sq_n(z40_0, 10), z10_0);
+  const Fe z100_0 = fe_mul(fe_sq_n(z50_0, 50), z50_0);
+  const Fe z200_0 = fe_mul(fe_sq_n(z100_0, 100), z100_0);
+  const Fe z250_0 = fe_mul(fe_sq_n(z200_0, 50), z50_0);
+  return fe_mul(fe_sq_n(z250_0, 5), z11);  // f^(2^255 - 2^5 + 11)
 }
 
 Fe fe_from_bytes(const std::uint8_t bytes[32]) {
@@ -143,7 +145,15 @@ Fe fe_from_bytes(const std::uint8_t bytes[32]) {
 }
 
 void fe_to_bytes(std::uint8_t out[32], Fe f) {
-  fe_carry(f);
+  // Two carry passes bring limbs < 2^52 under 2^51.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < 4; ++i) {
+      f.v[i + 1] += f.v[i] >> 51;
+      f.v[i] &= kMask51;
+    }
+    f.v[0] += 19 * (f.v[4] >> 51);
+    f.v[4] &= kMask51;
+  }
   // Canonicalize: subtract p if f >= p, twice to be safe.
   for (int pass = 0; pass < 2; ++pass) {
     std::uint64_t g[5];
@@ -200,31 +210,19 @@ X25519Key x25519(const X25519Key& scalar, const X25519Key& u_point) {
     fe_cswap(swap, z2, z3);
     swap = k_t;
 
-    Fe a = fe_add(x2, z2);
-    fe_carry(a);
-    const Fe aa = fe_sqr(a);
-    Fe b = fe_sub(x2, z2);
-    fe_carry(b);
-    const Fe bb = fe_sqr(b);
-    Fe e = fe_sub(aa, bb);
-    fe_carry(e);
-    Fe c = fe_add(x3, z3);
-    fe_carry(c);
-    Fe d = fe_sub(x3, z3);
-    fe_carry(d);
-    const Fe da = fe_mul(d, a);
-    const Fe cb = fe_mul(c, b);
-    Fe da_plus_cb = fe_add(da, cb);
-    fe_carry(da_plus_cb);
-    Fe da_minus_cb = fe_sub(da, cb);
-    fe_carry(da_minus_cb);
-    x3 = fe_sqr(da_plus_cb);
-    z3 = fe_mul(x1, fe_sqr(da_minus_cb));
+    // RFC 7748 §5 ladder step. Sums and differences of reduced values
+    // go straight into the next multiply (see the bounds on Fe).
+    const Fe a = fe_add(x2, z2);
+    const Fe b = fe_sub(x2, z2);
+    const Fe aa = fe_sq(a);
+    const Fe bb = fe_sq(b);
+    const Fe e = fe_sub(aa, bb);
+    const Fe da = fe_mul(fe_sub(x3, z3), a);
+    const Fe cb = fe_mul(fe_add(x3, z3), b);
+    x3 = fe_sq(fe_add(da, cb));
+    z3 = fe_mul(x1, fe_sq(fe_sub(da, cb)));
     x2 = fe_mul(aa, bb);
-    const Fe a24e = fe_mul_small(e, 121665);
-    Fe aa_plus = fe_add(aa, a24e);
-    fe_carry(aa_plus);
-    z2 = fe_mul(e, aa_plus);
+    z2 = fe_mul(e, fe_add(aa, fe_mul_small(e, 121665)));
   }
 
   fe_cswap(swap, x2, x3);

@@ -1,8 +1,13 @@
 // X25519 Diffie–Hellman over Curve25519 (RFC 7748).
 //
-// Field arithmetic mod 2^255 - 19 with five 51-bit limbs and a Montgomery
-// ladder; the implementation favors auditability over speed. Verified
-// against the RFC 7748 §5.2 and §6.1 vectors.
+// Field arithmetic mod 2^255 - 19 with five 51-bit limbs and a
+// constant-time Montgomery ladder. Reduction is lazy, under one limb-bound
+// invariant: multiply and square take limbs < 2^54 and return limbs
+// < 2^52, and an add or subtract of two such outputs stays < 2^54, so it
+// feeds the next multiply without a carry pass. Squaring has its own
+// 15-product routine, and inversion uses ref10's addition chain. Verified
+// against the RFC 7748 §5.2 and §6.1 vectors and against pinned outputs of
+// the earlier fully-carried arithmetic on extreme limb values.
 #pragma once
 
 #include <array>

@@ -290,7 +290,7 @@ void GossipMembership::gossip_tick(NodeId node) {
   NodeId cursor = refresh_cursors_[node];
   while (added < config_.refresh_records && scanned_ids < n) {
     const NodeId candidate = cursor;
-    cursor = static_cast<NodeId>((cursor + 1) % n);
+    if (++cursor == n) cursor = 0;
     ++scanned_ids;
     if (candidate == node || cache.find(candidate) == nullptr) continue;
     subjects.push_back(candidate);

@@ -241,5 +241,21 @@ TEST(FlagSetTest, RejectsUnknownAndMalformed) {
                std::invalid_argument);
 }
 
+// What a bench binary does with a mistyped flag: a usage error on stderr
+// and exit status 2, not an uncaught exception (abort, status 134).
+TEST(FlagSetTest, ParseOrExitRejectsUnknownWithStatusTwo) {
+  FlagSet flags;
+  flags.add_int("n", 5, "count");
+  const char* unknown[] = {"prog", "--bogus=1"};
+  EXPECT_EXIT(flags.parse_or_exit(2, const_cast<char**>(unknown)),
+              ::testing::ExitedWithCode(2), "error: unknown flag --bogus");
+  const char* bare[] = {"prog", "--bogus"};
+  EXPECT_EXIT(flags.parse_or_exit(2, const_cast<char**>(bare)),
+              ::testing::ExitedWithCode(2), "error: unknown flag --bogus");
+  const char* badval[] = {"prog", "--n=xyz"};
+  EXPECT_EXIT(flags.parse_or_exit(2, const_cast<char**>(badval)),
+              ::testing::ExitedWithCode(2), "bad value for --n");
+}
+
 }  // namespace
 }  // namespace p2panon

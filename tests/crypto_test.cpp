@@ -637,6 +637,79 @@ TEST(X25519Test, SharedSecretAgreesForRandomKeys) {
   }
 }
 
+// Pinned outputs of the original fully-carried field arithmetic on the
+// inputs that stress limb bounds: u = 0, 1, 9, p-1, p, p+1, p+9, 2^255-1
+// and all-0xff (bit 255 set, which RFC 7748 masks), crossed with the
+// all-zero and all-one scalars (clamping must still apply) and the two
+// RFC 7748 §5.2 scalars. Columns follow kEdgeScalars.
+TEST(X25519Test, PinnedEdgeVectors) {
+  constexpr const char* kZero =
+      "0000000000000000000000000000000000000000000000000000000000000000";
+  const char* const kEdgeScalars[] = {
+      kZero,
+      "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+      "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
+      "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d"};
+  constexpr const char* kNine[] = {
+      "2fe57da347cd62431528daac5fbb290730fff684afc4cfc2ed90995f58cb3b74",
+      "847c0d2c375234f365e660955187a3735a0f7613d1609d3a6a4d8c53aeaa5a22",
+      "1c9fd88f45606d932a80c71824ae151d15d73e77de38e8e000852e614fae7019",
+      "ff63fe57bfbf43fa3f563628b149af704d3db625369c49983650347a6a71e00e"};
+  constexpr const char* kTop[] = {
+      "b32d1362c248d62fe62619cff04dd43db73ffc1b6308ede30b78d87380f1e834",
+      "96186d56afdbfeda62f0d07168fa8b142b3d8530e9705fd818cfd33591ea927f",
+      "76b00406ce7e87774c0038dd8d89b188047977f8828ca1dcb8f98bb5d5d0cf48",
+      "32585876114b2dc59dcca5040125822e29784188d7f449f4153ea4ac41796042"};
+  struct EdgeCase {
+    const char* u;
+    const char* const* out;  // one per kEdgeScalars entry
+  };
+  constexpr const char* kZeros[] = {kZero, kZero, kZero, kZero};
+  const EdgeCase cases[] = {
+      {kZero, kZeros},
+      {"0100000000000000000000000000000000000000000000000000000000000000",
+       kZeros},
+      {"0900000000000000000000000000000000000000000000000000000000000000",
+       kNine},
+      {"ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+       kZeros},
+      {"edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+       kZeros},
+      {"eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+       kZeros},
+      {"f6ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+       kNine},
+      {"ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+       kTop},
+      {"ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff",
+       kTop},
+  };
+  for (const EdgeCase& c : cases) {
+    const auto u = array_from_hex<32>(c.u);
+    for (std::size_t s = 0; s < std::size(kEdgeScalars); ++s) {
+      const auto out = x25519(array_from_hex<32>(kEdgeScalars[s]), u);
+      EXPECT_EQ(to_hex(ByteView(out.data(), out.size())), c.out[s])
+          << "u=" << c.u << " scalar=" << kEdgeScalars[s];
+    }
+  }
+}
+
+// SHA-256 over the outputs of 256 seeded uniformly random (scalar, u)
+// pairs, bit 255 of u included, pinned from the original field arithmetic.
+TEST(X25519Test, PinnedRandomPairDigest) {
+  Rng rng(7748);
+  Sha256 digest;
+  for (int i = 0; i < 256; ++i) {
+    X25519Key scalar, u;
+    rng.fill(scalar.data(), scalar.size());
+    rng.fill(u.data(), u.size());
+    const auto out = x25519(scalar, u);
+    digest.update(ByteView(out.data(), out.size()));
+  }
+  EXPECT_EQ(hex_of_digest(digest.finish()),
+            "0052f7893c27c1736949ab6d2f83292c5941a76af47ad5bccb1238f67a0bdd58");
+}
+
 // --- Sealed box + keys -------------------------------------------------------------
 
 TEST(SealedBoxTest, RoundTrip) {
