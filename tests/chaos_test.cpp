@@ -243,5 +243,160 @@ TEST(ChaosAdaptiveTest, AdaptiveBeatsFixedUnderLoss) {
             fixed.attempted_delivery_rate());
 }
 
+// --- per-arm pins ------------------------------------------------------------
+//
+// One tiny run of every hardening arm the chaos_sweep grids run, pinned to
+// its exact outcome. The strings were captured before the hardening knobs
+// were folded into one switch per arm; any refactor of the switches must
+// reproduce them byte for byte. Overload arms also pin the overload
+// accounting that fingerprint() leaves out.
+
+ChaosConfig pin_base(ChaosScenario scenario, std::uint64_t seed) {
+  ChaosConfig config;
+  config.environment.num_nodes = 64;
+  config.environment.seed = seed;
+  config.scenario = scenario;
+  config.warmup = 5 * kMinute;
+  config.measure = 6 * kMinute;
+  config.send_interval = 10 * kSecond;
+  config.spec = anon::ProtocolSpec::simera(4, 2, anon::MixChoice::kRandom);
+  return config;
+}
+
+std::string overload_pin(const ChaosResult& r) {
+  std::string out = r.fingerprint();
+  for (const auto& cls : r.per_class) {
+    out += "|" + std::to_string(cls.attempts) + "/" +
+           std::to_string(cls.accepted) + "/" + std::to_string(cls.delivered);
+  }
+  for (const std::uint64_t v :
+       {r.interactive_p50_us, r.interactive_p99_us, r.relay_sheds_bulk,
+        r.relay_sheds_streaming, r.relay_sheds_interactive,
+        r.relay_sheds_control, r.admission_rejects, r.backpressure_signals,
+        r.session_messages_shed, r.session_segments_deferred,
+        r.session_backpressure_rx, r.session_stalls_suppressed}) {
+    out += ":" + std::to_string(v);
+  }
+  return out;
+}
+
+TEST(ChaosArmPinTest, ScenarioFixedAndAdaptive) {
+  auto config = pin_base(ChaosScenario::kLossyLinkEpidemic, 5);
+  EXPECT_EQ(run_chaos_experiment(config).fingerprint(),
+            "1:10:32:16:12:4:0:46:39:1:6:7:152:0:0:0:0:0:0:0:856:0:0:0:0:13"
+            "5:0:0:0:4:47269:12:0:0:0:0:0:0");
+  config.adaptive = true;
+  EXPECT_EQ(run_chaos_experiment(config).fingerprint(),
+            "1:10:28:14:11:3:0:50:28:6:16:22:73:0:0:0:0:0:0:0:842:0:0:0:0:8"
+            "4:0:0:0:3:47079:11:0:0:0:0:0:0");
+}
+
+TEST(ChaosArmPinTest, ByzantineOffTagsSuspicion) {
+  auto config = pin_base(ChaosScenario::kCorruptedRelayQuorum, 6);
+  config.measure = 8 * kMinute;
+  config.byzantine_probability = 0.25;
+  EXPECT_EQ(run_chaos_experiment(config).fingerprint(),
+            "1:6:46:46:46:0:0:92:92:0:0:0:0:0:0:0:0:0:0:0:0:0:0:10:0:20:0:0"
+            ":0:0:52747:38:8:0:0:0:0:0");
+  config.segment_auth = true;
+  config.verified_decode = true;
+  config.corruption_escalation = true;
+  EXPECT_EQ(run_chaos_experiment(config).fingerprint(),
+            "1:6:46:46:46:0:0:100:92:0:8:0:0:0:0:0:0:0:0:0:0:0:0:10:0:20:0:"
+            "0:0:0:52811:46:0:92:8:8:0:0");
+  config.relay_suspicion = true;
+  config.spec = anon::ProtocolSpec::simera(4, 2, anon::MixChoice::kBiased);
+  EXPECT_EQ(run_chaos_experiment(config).fingerprint(),
+            "1:1:48:48:48:0:0:210:192:0:18:0:1:0:0:0:0:0:0:0:0:0:0:23:0:0:0"
+            ":0:0:0:53639:48:0:192:18:18:54:3");
+}
+
+TEST(ChaosArmPinTest, OverloadShedAndDrop) {
+  auto config = pin_base(ChaosScenario::kMildLossDrizzle, 1);
+  config.measure = 8 * kMinute;
+  config.adaptive = true;
+  config.path_fail_threshold = 40;
+  config.workload.enabled = true;
+  config.workload.shape = workload::LoadShape::kFlashCrowd;
+  config.workload.mean_interarrival = 250 * kMillisecond;
+  config.environment.router.overload.enabled = true;
+  config.environment.router.overload.relay_queue_capacity = 64;
+  config.environment.router.overload.drain_rate_per_s = 10.0;
+  EXPECT_EQ(overload_pin(run_chaos_experiment(config)),
+            "1:15:2264:2060:1183:877:0:13116:2865:852:9399:9810:19:0:0:0:0:"
+            "0:0:0:2466:0:0:0:0:63:0:0:0:651:107456:1183:0:0:0:0:0:0|545/50"
+            "0/297|1152/1048/591|567/512/295:819769:59796969:1799:1883:3827"
+            ":0:0:0:0:0:0:0");
+  config.environment.router.overload.shedding = true;
+  config.environment.router.overload.admission_control = true;
+  config.environment.router.overload.backpressure = true;
+  config.max_inflight_segments = 256;
+  config.shed_low_priority = true;
+  config.session_backpressure = true;
+  EXPECT_EQ(overload_pin(run_chaos_experiment(config)),
+            "1:15:2264:1748:1524:224:0:9047:3069:245:5733:5978:0:0:0:0:0:0:"
+            "0:0:2675:0:0:0:0:50:0:0:0:63:107503:1524:0:0:0:0:0:0|545/330/2"
+            "29|1152/961/959|567/457/336:281621:34711919:82:2107:576:0:0:27"
+            "65:516:182:2617:3869");
+}
+
+// --- composition -------------------------------------------------------------
+//
+// Every hardening profile on at once — integrity, relay suspicion, adaptive
+// timeouts, the bounded send queue and relay shedding — under byzantine
+// relays and a flash crowd. Each profile was tuned against all-off; run
+// together, the suspicion stall evidence meets backpressure holds and
+// corruption nacks meet relay sheds. The chaos invariants must still hold.
+TEST(ChaosCompositionTest, AllProfilesTogetherHoldInvariants) {
+  auto config = pin_base(ChaosScenario::kCorruptedRelayQuorum, 1);
+  config.measure = 8 * kMinute;
+  config.byzantine_probability = 0.25;
+  config.spec = anon::ProtocolSpec::simera(4, 2, anon::MixChoice::kBiased);
+  config.path_fail_threshold = 40;
+  config.workload.enabled = true;
+  config.workload.shape = workload::LoadShape::kFlashCrowd;
+  config.workload.mean_interarrival = 250 * kMillisecond;
+  config.environment.router.overload.enabled = true;
+  config.environment.router.overload.relay_queue_capacity = 64;
+  config.environment.router.overload.drain_rate_per_s = 10.0;
+  config.adaptive = true;
+  config.segment_auth = true;
+  config.verified_decode = true;
+  config.corruption_escalation = true;
+  config.relay_suspicion = true;
+  config.environment.router.overload.shedding = true;
+  config.environment.router.overload.admission_control = true;
+  config.environment.router.overload.backpressure = true;
+  config.max_inflight_segments = 256;
+  config.shed_low_priority = true;
+  config.session_backpressure = true;
+  const auto result = run_chaos_experiment(config);
+  // Pinned before the knobs were folded, like the per-arm pins above.
+  EXPECT_EQ(overload_pin(result),
+            "1:1:2953:2173:1578:595:0:9327:5017:157:4153:4245:107:0:0:0:0:0"
+            ":0:0:0:0:0:881:0:98:0:0:1635:492:117354:1578:0:5469:69:69:3795"
+            ":24|736/453/271|1457/1131/937|760/589/370:1718472:36087912:71:"
+            "1671:412:0:0:2154:780:132:2154:3046");
+
+  ASSERT_TRUE(result.constructed);
+  EXPECT_EQ(result.messages_unaccounted, 0u);
+  EXPECT_TRUE(result.ledger_closed());
+  EXPECT_EQ(result.leaked_pending_segments, 0u);
+  EXPECT_EQ(result.leaked_path_state, 0u);
+  EXPECT_EQ(result.leaked_pending_constructions, 0u);
+  EXPECT_EQ(result.leaked_reverse_handlers, 0u);
+  EXPECT_EQ(result.leaked_reassembly, 0u);
+  EXPECT_EQ(result.relay_sheds_control, 0u);
+  EXPECT_EQ(result.messages_delivered_wrong, 0u);
+  // Every profile was exercised, not merely switched on.
+  EXPECT_GT(result.auth_rejected, 0u);
+  EXPECT_GT(result.suspicion_reports, 0u);
+  EXPECT_GT(result.segments_retransmitted, 0u);
+  EXPECT_GT(result.relay_sheds_bulk + result.relay_sheds_streaming +
+                result.relay_sheds_interactive,
+            0u);
+  EXPECT_GT(result.session_stalls_suppressed, 0u);
+}
+
 }  // namespace
 }  // namespace p2panon::harness
