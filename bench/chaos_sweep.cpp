@@ -349,7 +349,7 @@ ChaosConfig sweep_config(ChaosScenario scenario, std::uint64_t seed,
                        ? 15 * kMinute   // byzantine construction is slow
                        : 10 * kMinute;
   config.send_interval = 5 * kSecond;
-  config.adaptive = adaptive;
+  config.session.adaptive = adaptive;
   config.spec = anon::ProtocolSpec::simera(4, 2, anon::MixChoice::kRandom);
   return config;
 }
@@ -442,15 +442,16 @@ Sweep<ChaosConfig, ChaosResult> scenario_sweep(const SweepOptions& opts) {
 //   off             seed behavior — FastOnionCodec passes byte flips
 //                   through, so corrupted reconstructions can DELIVER
 //                   WRONG BYTES (the failure mode the tentpole removes);
-//   tags            segment auth + verified decode + nack escalation —
-//                   every delivery is tag/digest-checked, so a run either
-//                   delivers the exact bytes or fails *closed*;
+//   tags            SessionConfig::integrity (segment auth tags, digest-
+//                   validated decode, nack escalation) — every delivery is
+//                   tag/digest-checked, so a run either delivers the exact
+//                   bytes or fails *closed*;
 //   tags+suspicion  additionally files corruption/stall evidence into the
 //                   node cache and biases mix choice away from suspects,
 //                   so rebuilt paths route around the byzantine quorum.
 struct ByzArm {
   const char* name;
-  bool tags;       // segment_auth + verified_decode + corruption_escalation
+  bool tags;       // SessionConfig::integrity
   bool suspicion;  // relay_suspicion + suspicion-biased mix choice
 };
 
@@ -507,10 +508,8 @@ Sweep<ChaosConfig, ChaosResult> byzantine_sweep(const SweepOptions& opts) {
                                                 ? anon::MixChoice::kBiased
                                                 : anon::MixChoice::kRandom);
             config.byzantine_probability = kByzProbs[at[0]];
-            config.segment_auth = arm.tags;
-            config.verified_decode = arm.tags;
-            config.corruption_escalation = arm.tags;
-            config.relay_suspicion = arm.suspicion;
+            config.session.integrity = arm.tags;
+            config.session.relay_suspicion = arm.suspicion;
             return config;
           },
       .run = run_chaos_experiment,
@@ -669,9 +668,10 @@ Sweep<MembershipChaosConfig, DurabilityResult> membership_sweep(
 // shaped {steady, diurnal, flash} while every relay runs a bounded leaky-
 // bucket queue, across 3 protocols x 2 arms:
 //
-//   shed   priority-aware load shedding (bulk before streaming before
-//          interactive, control never) + admission control + reverse-path
-//          backpressure + the session-side bounded send queue;
+//   shed   RouterConfig::OverloadConfig::shed — priority-aware load
+//          shedding (bulk before streaming before interactive, control
+//          never), admission control and reverse-path backpressure — plus
+//          the session-side bounded send queue (max_inflight_segments);
 //   drop   the same bounded queue with priority-blind tail drop and no
 //          admission/backpressure — what a naive bounded relay does.
 //
@@ -695,12 +695,12 @@ ChaosConfig overload_cell_config(std::size_t proto, workload::LoadShape shape,
   config.scenario = ChaosScenario::kMildLossDrizzle;
   config.warmup = 5 * kMinute;
   config.measure = 10 * kMinute;
-  config.adaptive = true;  // retransmissions are the collapse fuel
+  config.session.adaptive = true;  // retransmissions are the collapse fuel
   // At 4 msg/s the default threshold (3 consecutive timeouts) turns the
   // drizzle's ~1/3 ack-round-trip loss into perpetual rebuild churn;
   // raise it so retransmission absorbs background loss and offered load
   // stays the only stressor.
-  config.path_fail_threshold = 40;
+  config.session.path_fail_threshold = 40;
   config.spec = proto_spec(proto, anon::MixChoice::kRandom);
   config.workload.enabled = true;
   config.workload.shape = shape;
@@ -712,12 +712,8 @@ ChaosConfig overload_cell_config(std::size_t proto, workload::LoadShape shape,
   config.environment.router.overload.relay_queue_capacity = 64;
   config.environment.router.overload.drain_rate_per_s = 10.0;
   if (shed) {
-    config.environment.router.overload.shedding = true;
-    config.environment.router.overload.admission_control = true;
-    config.environment.router.overload.backpressure = true;
-    config.max_inflight_segments = 256;
-    config.shed_low_priority = true;
-    config.session_backpressure = true;
+    config.environment.router.overload.shed = true;
+    config.session.max_inflight_segments = 256;
   }
   return config;
 }
@@ -827,9 +823,7 @@ Sweep<ChaosConfig, ChaosResult> overload_sweep(const SweepOptions&) {
                 anon::RouterConfig::OverloadConfig{};
             spelled.environment.router.pool_max_capacity = 0;
             spelled.environment.overload_obs_interval = 0;
-            spelled.max_inflight_segments = 0;
-            spelled.shed_low_priority = false;
-            spelled.session_backpressure = false;
+            spelled.session.max_inflight_segments = 0;
           },
   };
 }

@@ -5,7 +5,8 @@
 // One arm = (N, scenario). Per arm the probe builds a full Environment
 // with the capacity loop profiler attached, runs a bounded number of
 // events (warmup excluded from timing), and records:
-//   * events/sec over the measured window (wall clock);
+//   * events/sec over the measured window (wall clock) — membership
+//     throughput only, since the probe carries no anonymous traffic;
 //   * a deterministic byte census of every big structure, total and
 //     per-node, per subsystem (the O(N²) latency matrix shows up here as
 //     a number, not a comment);

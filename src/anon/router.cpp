@@ -22,9 +22,18 @@ constexpr std::uint8_t kTypeConstructPayload = 7;
 // [type][sid:8][class:1]. A shedding relay originates it toward its
 // upstream; every relay maps downstream sid -> upstream sid until the
 // frame reaches the initiator's reverse handler. Only emitted when
-// RouterConfig::overload.backpressure is on, so legacy wire traffic never
+// RouterConfig::overload.shed is on, so legacy wire traffic never
 // contains it.
 constexpr std::uint8_t kTypeBackpressure = 8;
+
+// Admission control (overload.shed): a relay at or above this fraction of
+// its queue capacity refuses new path constructions.
+constexpr double kAdmissionThreshold = 0.9;
+
+// Decode-attempt budget for the digest-validated subset search
+// (erasure/verified_decode). Only reached when segments carry the auth
+// trailer, so legacy traffic never spends it.
+constexpr std::size_t kMaxDecodeSubsets = 24;
 
 /// Zero-sim-duration async span bracketing one relay's processing of a
 /// datagram; only reached behind an enabled() check. Keeps the per-hop peel
@@ -417,7 +426,7 @@ bool AnonRouter::should_shed(NodeId node, SegmentPriority priority) {
   const double level = load_[node].level;
   const double cap = static_cast<double>(ovl.relay_queue_capacity);
   if (priority == SegmentPriority::kControl) return false;  // never
-  if (!ovl.shedding) return level >= cap;  // priority-blind tail drop
+  if (!ovl.shed) return level >= cap;  // priority-blind tail drop
   // Graded thresholds: bulk gives way first, interactive only when the
   // queue is effectively full.
   switch (priority) {
@@ -489,8 +498,8 @@ void AnonRouter::on_construct(NodeId from, NodeId to, StreamId sid,
                               ByteView onion_blob) {
   if (config_.overload.enabled) {
     const double level = drain_load(to);
-    if (config_.overload.admission_control &&
-        level >= config_.overload.admission_threshold *
+    if (config_.overload.shed &&
+        level >= kAdmissionThreshold *
                      static_cast<double>(
                          config_.overload.relay_queue_capacity)) {
       // Saturated: refuse the path before installing any state. Status 0
@@ -587,12 +596,12 @@ void AnonRouter::on_payload(NodeId from, NodeId to, StreamId sid,
     // Bounded relay queue: drain the leaky bucket, then either shed this
     // segment (before spending the peel) or charge it to the queue. The
     // drop is silent on the forward path — the initiator's segment
-    // timeout covers it — but with backpressure on the relay tells the
+    // timeout covers it — but in the shed arm the relay tells the
     // upstream chain what class it shed.
     drain_load(to);
     if (should_shed(to, priority)) {
       count_shed(priority);
-      if (config_.overload.backpressure) {
+      if (config_.overload.shed) {
         signal_backpressure(to, entry->upstream, entry->upstream_sid,
                             priority);
       }
@@ -817,34 +826,17 @@ void AnonRouter::deliver_to_responder(NodeId responder, RelayEntry& entry,
     }
   }
   // Erasure metadata comes from the first *trusted* core (every core in
-  // legacy and digest modes; tag-verified ones in tagged mode). needed == 0
-  // marks "not yet trusted" — parse_payload_core guarantees m >= 1.
+  // legacy mode; tag-verified ones in tagged mode). needed == 0 marks "not
+  // yet trusted" — parse_payload_core guarantees m >= 1.
   if (reassembly.needed == 0 && trusted) {
     reassembly.needed = core->needed_segments;
     reassembly.total = core->total_segments;
     reassembly.original_size = core->original_size;
   }
-  if (core->auth_flags > reassembly.auth_flags) {
-    reassembly.auth_flags = core->auth_flags;
-  }
+  if (tagged) reassembly.tagged = true;
   if (tag_verified && !reassembly.digest_known) {
     reassembly.digest_known = true;
     reassembly.digest = core->message_digest;
-  }
-  if (core->auth_flags == PayloadCore::kAuthDigest) {
-    // Tagless mode: no single core is trusted, so digests are ballots. The
-    // validator later accepts any candidate — an oblivious byte-flipper
-    // cannot steer SHA-256 onto a chosen value, so a decode matching any
-    // ballot is the initiator's message (see DESIGN.md threat model).
-    bool counted = false;
-    for (auto& [digest, votes] : reassembly.digest_votes) {
-      if (digest == core->message_digest) {
-        ++votes;
-        counted = true;
-        break;
-      }
-    }
-    if (!counted) reassembly.digest_votes.emplace_back(core->message_digest, 1);
   }
   reassembly.expires = now + config_.reassembly_ttl;
 
@@ -869,8 +861,7 @@ void AnonRouter::deliver_to_responder(NodeId responder, RelayEntry& entry,
       reassembly.quarantined_sids.push_back(entry.upstream_sid);
     }
     responder_nack(responder, entry, core->message_id, core->segment_index);
-    if (!reassembly.delivered && reassembly.needed > 0 &&
-        reassembly.auth_flags != PayloadCore::kAuthNone) {
+    if (!reassembly.delivered && reassembly.needed > 0) {
       try_authenticated_decode(responder, core->message_id, reassembly);
     }
     return;
@@ -886,7 +877,7 @@ void AnonRouter::deliver_to_responder(NodeId responder, RelayEntry& entry,
   }
   if (!known_path) reassembly.arrival_sids.push_back(entry.upstream_sid);
 
-  // Store the segment unless it's a duplicate index. In auth modes a
+  // Store the segment unless it's a duplicate index. In tagged mode a
   // tag-verified copy supersedes an unverified one (a clean retransmit
   // must not be shadowed by the corrupted original), and a conflicting
   // unverified duplicate is stashed as a quarantined alternate for the
@@ -901,8 +892,7 @@ void AnonRouter::deliver_to_responder(NodeId responder, RelayEntry& entry,
         seg.data = core->segment;
         reassembly.segment_verified[i] = true;
         reassembly.segment_sids[i] = entry.upstream_sid;
-      } else if (core->auth_flags != PayloadCore::kAuthNone &&
-                 seg.data != core->segment) {
+      } else if (tagged && seg.data != core->segment) {
         erasure::Segment alternate;
         alternate.index = core->segment_index;
         alternate.data = core->segment;
@@ -921,12 +911,10 @@ void AnonRouter::deliver_to_responder(NodeId responder, RelayEntry& entry,
     reassembly.segment_verified.push_back(tag_verified);
   }
 
-  if (config_.send_acks) {
-    responder_ack(responder, entry, core->message_id, core->segment_index);
-  }
+  responder_ack(responder, entry, core->message_id, core->segment_index);
 
   if (reassembly.delivered || reassembly.needed == 0) return;
-  if (reassembly.auth_flags != PayloadCore::kAuthNone) {
+  if (reassembly.tagged) {
     try_authenticated_decode(responder, core->message_id, reassembly);
     return;
   }
@@ -946,34 +934,33 @@ bool AnonRouter::try_authenticated_decode(NodeId responder,
                                           Reassembly& reassembly) {
   const auto& codec = codec_for(reassembly.needed, reassembly.total);
 
-  // Tagged mode, enough tag-verified segments: decode them directly. Every
-  // input is authenticated, so this cannot yield wrong bytes.
-  if (reassembly.digest_known) {
-    std::vector<erasure::Segment> verified;
-    for (std::size_t i = 0; i < reassembly.segments.size(); ++i) {
-      if (reassembly.segment_verified[i]) {
-        verified.push_back(reassembly.segments[i]);
-      }
+  // No tag-verified core yet: no trusted digest to validate against.
+  if (!reassembly.digest_known) return false;
+
+  // Enough tag-verified segments: decode them directly. Every input is
+  // authenticated, so this cannot yield wrong bytes.
+  std::vector<erasure::Segment> verified;
+  for (std::size_t i = 0; i < reassembly.segments.size(); ++i) {
+    if (reassembly.segment_verified[i]) {
+      verified.push_back(reassembly.segments[i]);
     }
-    if (verified.size() >= reassembly.needed) {
-      auto decoded = codec.decode(verified, reassembly.original_size);
-      if (decoded.has_value() &&
-          crypto::message_digest(*decoded) == reassembly.digest) {
-        deliver_reconstructed(responder, message_id, reassembly,
-                              std::move(*decoded));
-        return true;
-      }
-      // Unreachable short of a tag forgery; fall through to the search.
+  }
+  if (verified.size() >= reassembly.needed) {
+    auto decoded = codec.decode(verified, reassembly.original_size);
+    if (decoded.has_value() &&
+        crypto::message_digest(*decoded) == reassembly.digest) {
+      deliver_reconstructed(responder, message_id, reassembly,
+                            std::move(*decoded));
+      return true;
     }
-  } else if (reassembly.digest_votes.empty()) {
-    return false;  // no trusted digest and no ballots: nothing to validate
+    // Unreachable short of a tag forgery; fall through to the search.
   }
 
   // Digest-validated subset search over everything received, quarantined
   // alternates included (their tags failed, but the damage may have been
   // confined to the trailer). The decoder never returns unvalidated
   // plaintext: a candidate decode is delivered only when its digest
-  // matches the trusted digest (tagged mode) or any ballot (digest mode).
+  // matches the trusted digest.
   std::vector<erasure::Segment> pool;
   std::vector<StreamId> pool_sids;
   std::size_t admitted = reassembly.segments.size();
@@ -990,16 +977,11 @@ bool AnonRouter::try_authenticated_decode(NodeId responder,
   if (pool.size() < reassembly.needed) return false;
 
   const erasure::DecodeValidator validate = [&](ByteView message) {
-    const auto digest = crypto::message_digest(message);
-    if (reassembly.digest_known) return digest == reassembly.digest;
-    for (const auto& [candidate, votes] : reassembly.digest_votes) {
-      if (candidate == digest) return true;
-    }
-    return false;
+    return crypto::message_digest(message) == reassembly.digest;
   };
   auto result =
       erasure::verified_decode(codec, pool, reassembly.original_size,
-                               validate, config_.max_decode_subsets);
+                               validate, kMaxDecodeSubsets);
   if (!result.has_value()) {
     auth_fallback_failed_ctr_->inc();
     return false;
@@ -1249,8 +1231,7 @@ void AnonRouter::byte_census(obs::capacity::ByteCensus& census) const {
       for (const auto& seg : r.quarantined) held += seg.data.capacity();
       held += obs::capacity::vector_bytes(r.arrival_sids) +
               obs::capacity::vector_bytes(r.segment_sids) +
-              obs::capacity::vector_bytes(r.quarantined_sids) +
-              obs::capacity::vector_bytes(r.digest_votes);
+              obs::capacity::vector_bytes(r.quarantined_sids);
       reassembly_bytes += held;
     }
   }

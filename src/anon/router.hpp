@@ -65,41 +65,33 @@ struct RouterConfig {
   SimDuration state_ttl = 2 * kMinute;       // §4.3 TTL on cached path state
   SimDuration sweep_interval = 30 * kSecond; // expiry sweep cadence
   SimDuration reassembly_ttl = 2 * kMinute;  // responder reassembly buffers
-  bool send_acks = true;                     // per-segment end-to-end acks
-  /// Decode-attempt budget for the digest-validated subset-search fallback
-  /// (erasure/verified_decode). Only consulted when segments arrive with
-  /// an auth trailer — the initiator's opt-in is the feature switch, so
-  /// legacy traffic never reaches this code.
-  std::size_t max_decode_subsets = 24;
   obs::Registry* metrics = nullptr;          // nullptr = global registry
 
   /// Hard cap on the capacity the relay buffer pool retains per buffer
   /// (0 = uncapped, the legacy behavior). See BufferPool.
   std::size_t pool_max_capacity = 0;
 
-  /// Overload-resilience knobs. `enabled` turns on the per-relay leaky
-  /// bucket that models bounded forwarding queues; the sub-switches pick
-  /// what happens at saturation. Everything defaults OFF: with
-  /// enabled=false no load is tracked, payload framing is unchanged, and
-  /// runs are byte-identical to the legacy router.
+  /// Overload resilience. `enabled` turns on the per-relay leaky bucket
+  /// that models bounded forwarding queues; on its own a saturated relay
+  /// tail-drops every payload class indiscriminately (the "drop" arm of
+  /// the overload sweep). Everything defaults OFF: with enabled=false no
+  /// load is tracked, payload framing is unchanged, and runs are
+  /// byte-identical to the legacy router.
   struct OverloadConfig {
     bool enabled = false;
     /// Queue depth (in segments) a relay can absorb before it saturates.
     std::size_t relay_queue_capacity = 64;
     /// Segments per second the relay's queue drains.
     double drain_rate_per_s = 50.0;
-    /// Priority-aware shedding: shed bulk from ~70% occupancy, streaming
-    /// from ~85%, interactive only when full, control never. With
-    /// shedding=false a saturated relay tail-drops every payload class
-    /// indiscriminately (the collapse arm in the overload sweep).
-    bool shedding = false;
-    /// Refuse new path constructions (ConstructAck status 0) while the
-    /// relay sits above admission_threshold of capacity.
-    bool admission_control = false;
-    double admission_threshold = 0.9;
-    /// Signal sheds upstream with a plain reverse backpressure frame so
-    /// initiators can slow down instead of retransmitting into the storm.
-    bool backpressure = false;
+    /// The "shed" arm, on top of `enabled`:
+    ///   * priority-aware shedding: bulk from 70% occupancy, streaming
+    ///     from 85%, interactive only at 97%, control never;
+    ///   * admission control: refuse new path constructions (ConstructAck
+    ///     status 0) while the relay sits at or above 90% of capacity;
+    ///   * backpressure: signal each shed upstream with a plain reverse
+    ///     frame so initiators can slow down instead of retransmitting
+    ///     into the storm.
+    bool shed = false;
   };
   OverloadConfig overload;
 };
@@ -297,15 +289,13 @@ class AnonRouter {
 
     // Corruption-resilience state; untouched (and unallocated) while only
     // legacy cores arrive.
-    std::uint8_t auth_flags = 0;   // strongest trailer shape seen
+    bool tagged = false;           // a core with the auth trailer arrived
     bool digest_known = false;     // trusted digest (from a tag-verified core)
     crypto::MessageDigest digest{};
     std::vector<StreamId> segment_sids;     // arrival sid per admitted segment
     std::vector<bool> segment_verified;     // tag-verified per admitted segment
     std::vector<erasure::Segment> quarantined;  // tag-rejected, never decoded
     std::vector<StreamId> quarantined_sids;
-    /// Digest ballots for the tagless mode: (digest, votes).
-    std::vector<std::pair<crypto::MessageDigest, std::size_t>> digest_votes;
   };
 
   void handle_forward(NodeId from, NodeId to, ByteView payload);

@@ -32,7 +32,7 @@ namespace p2panon::anon {
 
 struct SessionConfig {
   std::size_t path_length = 3;  // L
-  ErasureParams erasure;
+  ErasureParams erasure{};
   MixChoice mix_choice = MixChoice::kRandom;
   SimDuration construct_timeout = 5 * kSecond;
   SimDuration ack_timeout = 5 * kSecond;
@@ -42,31 +42,25 @@ struct SessionConfig {
   double replace_threshold = 0.0;     // > 0 enables proactive replacement
   SimDuration replace_check_interval = 30 * kSecond;
 
-  // --- adaptive failure handling (all default OFF: with both switches
-  // off, behavior, timings, and RNG draws are byte-identical to the
-  // paper-reproduction configuration above) ---
+  // --- hardening switches. Each is one arm the chaos benches run, and
+  // each defaults OFF: with all of them off, behavior, the wire format,
+  // timings and RNG draws are byte-identical to the paper-reproduction
+  // configuration above. Their tunables are file-local constants in
+  // session.cpp, at the only values any run uses. ---
 
-  /// TCP-style per-path retransmission timers: RTO = SRTT + 4 * RTTVAR
-  /// (Jacobson/Karels), clamped to [rto_min, rto_max], seeded from the
-  /// construction round trip and updated from first-transmission acks
-  /// (Karn's algorithm). Until the first sample, `ack_timeout` applies.
-  /// Also enables segment retransmission over surviving paths: a timed-out
-  /// segment is resent on the next established path (round-robin, doubled
-  /// timeout per retry) up to max_segment_retries times, and a path is
-  /// only declared failed after path_fail_threshold consecutive timeouts.
-  bool adaptive_timeouts = false;
-  SimDuration rto_min = 500 * kMillisecond;
-  SimDuration rto_max = 30 * kSecond;
-  std::size_t max_segment_retries = 2;
+  /// Adaptive failure handling. TCP-style per-path retransmission timers:
+  /// RTO = SRTT + 4 * RTTVAR (Jacobson/Karels), clamped to [0.5 s, 30 s],
+  /// seeded from the construction round trip and updated from
+  /// first-transmission acks (Karn's algorithm); until the first sample,
+  /// `ack_timeout` applies. A timed-out segment is resent on the next
+  /// established path (round-robin, doubled timeout per retry) up to 6
+  /// times, and a path is only declared failed after path_fail_threshold
+  /// consecutive timeouts. Whole-set construction retries and per-path
+  /// rebuild retries back off exponentially (250 ms doubling to 10 s) with
+  /// deterministic jitter from the session's own RNG stream, instead of
+  /// retrying immediately.
+  bool adaptive = false;
   std::size_t path_fail_threshold = 3;
-
-  /// Exponential backoff with deterministic jitter for whole-set
-  /// construction retries and per-path rebuild retries, instead of
-  /// immediate retry: delay_i = min(backoff_base * 2^i, backoff_max),
-  /// jittered to [delay/2, delay] from the session's own RNG stream.
-  bool retry_backoff = false;
-  SimDuration backoff_base = 1 * kSecond;
-  SimDuration backoff_max = 60 * kSecond;
 
   /// Construction succeeds only once ALL k paths are established, not
   /// just min_paths() of them. Attempts that establish at least one path
@@ -75,73 +69,48 @@ struct SessionConfig {
   /// provisioning is the paper's behavior and what the seed tests pin.
   bool require_full_construction = false;
 
-  // --- corruption resilience (all default OFF: with every switch off,
-  // behavior, the wire format, and RNG draws are byte-identical to the
-  // configuration above — the responder only runs its verification paths
-  // when a segment actually carries an auth trailer) ---
-
-  /// Appends the keyed auth trailer ([flags][digest][tag]) to every
-  /// outgoing segment: a 16-byte whole-message digest plus a 16-byte
-  /// HMAC tag keyed from the path's responder key (crypto/segment_auth).
-  /// The responder verifies each tag before admitting the segment to
-  /// reconstruction, quarantines failures, and answers them with a
-  /// corrupt-nack instead of an ack.
-  bool segment_auth = false;
-  /// Digest-only trailer ([flags][digest], no per-segment tags): the
-  /// responder validates every reconstruction against the digest ballots
-  /// and subset-searches around corrupted segments (erasure/
-  /// verified_decode). Implied by segment_auth — tags carry the digest.
-  bool verified_decode = false;
-  /// Feeds corruption verdicts (corrupt-nacks) and ack-timeout stalls into
-  /// the cache's behavioral-suspicion table, which biases and quarantines
-  /// mix choice. Needs the cache owner to have called enable_suspicion();
-  /// reports are silently dropped otherwise.
+  /// Corruption resilience. Appends the keyed auth trailer
+  /// ([flags][digest][tag]) to every outgoing segment: a 16-byte
+  /// whole-message digest plus a 16-byte HMAC tag keyed from the path's
+  /// responder key (crypto/segment_auth). The responder verifies each tag
+  /// before admitting the segment to reconstruction, validates every
+  /// decode against the digest (subset-searching around corrupted
+  /// segments), and answers a failed tag with a corrupt-nack instead of an
+  /// ack. The initiator retransmits a nacked segment on another
+  /// established path (within the retry budget: 6 adaptive, 2 otherwise)
+  /// and declares a path failed after 3 consecutive nacks, handing it to
+  /// the rebuild/top-up machinery.
+  bool integrity = false;
+  /// Feeds corruption verdicts (weight 1 per relay) and ack-timeout stalls
+  /// (weight 0.25 per relay) into the cache's behavioral-suspicion table,
+  /// which biases and quarantines mix choice. Needs the cache owner to
+  /// have called enable_suspicion(); reports are silently dropped
+  /// otherwise.
   bool relay_suspicion = false;
-  double suspicion_corrupt_weight = 1.0;  // per relay, per corrupt-nack
-  double suspicion_stall_weight = 0.25;   // per relay, per ack timeout
-  /// Graceful degradation: a corrupt-nacked segment is retransmitted on
-  /// another established path (within max_segment_retries), and a path
-  /// with escalation_nack_threshold consecutive corruption verdicts is
-  /// declared failed — handing it to the existing rebuild/top-up
-  /// machinery, which provisions a fresh relay set (suspicion-biased when
-  /// relay_suspicion is on).
-  bool corruption_escalation = false;
-  std::size_t escalation_nack_threshold = 3;
-
-  // --- control-plane resilience (default OFF: with the switch off, no
-  // cache-age scan runs, no extra RNG is drawn, no extra obs series is
-  // registered, and selection is byte-identical to the configuration
-  // above) ---
 
   /// Staleness-aware mix selection: biased choice degrades to the random
   /// sampler while more than `staleness_degrade_fraction` of the cache's
   /// known-alive records are older than `staleness_stale_after`, and
-  /// recovers the bias as membership repair catches up (DESIGN §9).
+  /// recovers the bias as membership repair catches up (DESIGN §9). Off:
+  /// no cache-age scan runs, no extra RNG is drawn and no extra obs series
+  /// is registered.
   bool staleness_aware = false;
   SimDuration staleness_stale_after = 2 * kMinute;
   double staleness_degrade_fraction = 0.5;
 
-  // --- overload resilience (default OFF: with max_inflight_segments == 0
-  // and both switches off, no bound is checked, no congestion state is
-  // consulted, and behavior, wire bytes, and RNG draws are byte-identical
-  // to the configuration above) ---
-
-  /// Bounded sender queue: send_message refuses the whole message (returns
-  /// 0) when placing its n segments would push the pending-ack ledger past
-  /// this many in-flight segments. 0 = unbounded, the legacy behavior.
-  /// Retransmissions of already-placed segments bypass the bound — they
-  /// replace ledger entries rather than adding new ones.
+  /// Overload resilience; 0 = off, the legacy unbounded sender. Above 0:
+  ///   * bounded sender queue: send_message refuses the whole message
+  ///     (returns 0) when placing its n segments would push the
+  ///     pending-ack ledger past this many in-flight segments, and refuses
+  ///     bulk already at 3/4 of the bound, keeping headroom for
+  ///     interactive traffic. Retransmissions of already-placed segments
+  ///     bypass the bound — they replace ledger entries rather than adding
+  ///     new ones;
+  ///   * backpressure reaction: a path that signalled a relay shed is held
+  ///     congested for 2 s (bulk segments are not placed on it), and its
+  ///     ack-timeout stalls are NOT reported as suspicion evidence — an
+  ///     overloaded-but-honest relay must not be quarantined as byzantine.
   std::size_t max_inflight_segments = 0;
-  /// Priority-aware sender shedding: bulk messages are refused already at
-  /// 3/4 of the bound, keeping headroom for interactive traffic.
-  bool shed_low_priority = false;
-  /// React to relay backpressure frames: a path that signalled a shed is
-  /// held congested for backpressure_hold (bulk segments are not placed on
-  /// it), and its ack-timeout stalls are NOT reported as suspicion
-  /// evidence — an overloaded-but-honest relay must not be quarantined as
-  /// byzantine.
-  bool backpressure = false;
-  SimDuration backpressure_hold = 2 * kSecond;
 };
 
 enum class PathState { kUnbuilt, kPending, kEstablished, kFailed };
@@ -236,8 +205,8 @@ class Session {
   std::uint64_t path_failures_detected() const { return failures_detected_; }
   std::uint64_t proactive_replacements() const { return proactive_replacements_; }
   /// Corruption verdicts (ReverseCore::kCorruptNack) received from the
-  /// responder across all paths. Always counted, even with every
-  /// corruption-resilience knob off (a legacy session never receives any).
+  /// responder across all paths. Always counted, even with integrity
+  /// off (a legacy session never receives any).
   std::uint64_t corrupt_nacks_received() const { return nacks_received_; }
   /// Staleness-aware selection tallies (0 unless staleness_aware): how
   /// often biased choice degraded to random because the cache was stale.
@@ -248,7 +217,7 @@ class Session {
     return selector_.biased_selects();
   }
 
-  // --- overload statistics (0 unless the overload knobs are on) ---
+  // --- overload statistics (0 unless overload is on) ---
   /// Whole messages refused by the bounded sender queue (never entered
   /// the segment ledger — the caller saw message id 0).
   std::uint64_t messages_shed() const { return messages_shed_; }
@@ -256,7 +225,7 @@ class Session {
   /// never entered the ledger, so the conservation identity still closes.
   std::uint64_t segments_deferred() const { return segments_deferred_; }
   /// Relay backpressure frames that reached this session. Counted even
-  /// with the reaction knob off (a legacy run never receives any).
+  /// with max_inflight_segments at 0 (a legacy run never receives any).
   std::uint64_t backpressure_signals() const { return backpressure_rx_; }
   /// Ack-timeout stalls NOT filed as suspicion evidence because the path
   /// had signalled overload after the segment was sent.
@@ -332,8 +301,8 @@ class Session {
       SegmentPriority priority = SegmentPriority::kInteractive);
   /// Relay backpressure signal arriving on a path's reverse handler.
   void on_backpressure(std::size_t path_index);
-  /// Fills in the corruption-resilience trailer per the session knobs
-  /// (no-op with both off, keeping the wire bytes identical to the seed).
+  /// Fills in the tagged auth trailer when `integrity` is on (no-op off,
+  /// keeping the wire bytes identical to the seed).
   void apply_auth_trailer(PayloadCore& core, const Path& path,
                           const crypto::MessageDigest& digest) const;
   void report_path_suspicion(std::size_t path_index, double weight,

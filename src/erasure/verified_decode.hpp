@@ -2,10 +2,10 @@
 //
 // Reed-Solomon erasure decoding is oblivious to corruption: feed it m
 // segments of which one was tampered with and it happily produces wrong
-// bytes. When per-segment authentication tags are unavailable (or too few
-// tag-verified segments survive), the decoder below recovers the original
-// message anyway — as long as some m of the supplied segments are intact —
-// by bounded subset search validated against a whole-message digest:
+// bytes. When too few tag-verified segments survive, the decoder below
+// recovers the original message anyway — as long as some m of the
+// supplied segments are intact — by bounded subset search validated
+// against the whole-message digest a tag-verified segment carried:
 //
 //   1. try the plain decode over everything supplied (the common case:
 //      nothing was corrupted);

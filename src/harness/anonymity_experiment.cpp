@@ -68,15 +68,8 @@ AnonymityResult run_anonymity_experiment(const AnonymityConfig& config) {
       n > 2 ? static_cast<double>(model.count()) / static_cast<double>(n - 2)
             : 0.0;
 
-  anon::SessionConfig base_session;
+  anon::SessionConfig base_session = config.session;
   base_session.path_length = env_config.path_length;
-  base_session.construct_timeout = config.construct_timeout;
-  base_session.ack_timeout = config.ack_timeout;
-  base_session.max_construct_attempts = config.max_construct_attempts;
-  // All k paths must stand, or SimEra trials would draw fewer than k
-  // first relays and the 1-(1-f)^k comparison would be against the wrong
-  // exponent.
-  base_session.require_full_construction = true;
   const anon::SessionConfig session_config =
       config.spec.session_config(base_session);
 

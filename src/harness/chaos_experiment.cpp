@@ -163,38 +163,12 @@ ChaosResult run_chaos_experiment(const ChaosConfig& config) {
 
   ChaosResult result;
 
-  anon::SessionConfig base_session;
-  base_session.path_length = env_config.path_length;
-  base_session.construct_timeout = config.construct_timeout;
-  base_session.ack_timeout = config.ack_timeout;
-  base_session.max_construct_attempts = config.max_construct_attempts;
-  base_session.auto_reconstruct = config.auto_reconstruct;
-  base_session.require_full_construction = config.require_full_paths;
-  if (config.adaptive) {
-    base_session.adaptive_timeouts = true;
-    base_session.retry_backoff = true;
-    base_session.backoff_base = config.backoff_base;
-    base_session.backoff_max = config.backoff_max;
-    // Fixed mode with auto-reconstruct retries a kept segment on every
-    // rebuild, i.e. with an unbounded budget; give the adaptive mode a
-    // comparable number of attempts so the comparison isolates the timeout
-    // policy rather than the retry ceiling.
-    base_session.max_segment_retries = config.adaptive_segment_retries;
-  }
-  if (config.path_fail_threshold > 0) {
-    base_session.path_fail_threshold = config.path_fail_threshold;
-  }
-  base_session.segment_auth = config.segment_auth;
-  base_session.verified_decode = config.verified_decode;
-  base_session.relay_suspicion = config.relay_suspicion;
-  base_session.corruption_escalation = config.corruption_escalation;
-  base_session.max_inflight_segments = config.max_inflight_segments;
-  base_session.shed_low_priority = config.shed_low_priority;
-  base_session.backpressure = config.session_backpressure;
+  anon::SessionConfig session_config = config.session;
+  session_config.path_length = env_config.path_length;
 
   membership::NodeCache& initiator_cache =
       env.membership().cache(config.initiator);
-  if (config.relay_suspicion) {
+  if (config.session.relay_suspicion) {
     // Arm the evidence ledger before the session builds any path; the
     // session itself only *reports* into it (reporting is const).
     initiator_cache.enable_suspicion({});
@@ -202,7 +176,7 @@ ChaosResult run_chaos_experiment(const ChaosConfig& config) {
 
   anon::Session session(env.router(), initiator_cache, config.initiator,
                         config.responder,
-                        config.spec.session_config(base_session),
+                        config.spec.session_config(session_config),
                         env.rng().fork());
 
   // Workload engine: forked *after* the session (and gated on the knob) so

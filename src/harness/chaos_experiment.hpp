@@ -22,6 +22,7 @@
 #include <string>
 
 #include "anon/protocols.hpp"
+#include "anon/session.hpp"
 #include "fault/fault_plan.hpp"
 #include "harness/environment.hpp"
 #include "harness/health.hpp"
@@ -63,36 +64,15 @@ struct ChaosConfig {
   SimDuration quiesce = 2 * kMinute;   // drain in-flight traffic
   SimDuration send_interval = 5 * kSecond;
   std::size_t message_size = 512;
-  SimDuration construct_timeout = 5 * kSecond;
-  SimDuration ack_timeout = 5 * kSecond;
-  std::size_t max_construct_attempts = 500;
-  /// false: fixed 5 s ack timeout, immediate retries (the paper's
-  /// configuration, auto-reconstruct on). true: adaptive RTO + segment
-  /// retransmission + exponential backoff.
-  bool adaptive = false;
-  /// Self-healing (§4.5 failure detection -> §4.1 reconstruction). Off =
-  /// the paper's static regime: a timed-out segment is simply lost and
-  /// failed paths stay down, so redundancy alone decides delivery — the
-  /// regime the SimEra >= SimRep >= CurMix ordering is claimed for.
-  bool auto_reconstruct = true;
-  /// Backoff schedule for the adaptive mode, scaled for chaos windows of
-  /// minutes (the SessionConfig defaults suit long-lived deployments).
-  SimDuration backoff_base = 250 * kMillisecond;
-  SimDuration backoff_max = 10 * kSecond;
-  /// Retransmission budget per segment in adaptive mode (fixed mode's
-  /// rebuild-resend loop is effectively unbounded).
-  std::size_t adaptive_segment_retries = 6;
-  /// > 0 overrides SessionConfig::path_fail_threshold (consecutive
-  /// timeouts before an adaptive-mode path is declared failed). The
-  /// overload sweep raises it so background link loss is absorbed by
-  /// retransmission instead of rebuild churn, keeping offered load the
-  /// only stressor. 0 = session default.
-  std::size_t path_fail_threshold = 0;
-  /// Keep constructing (topping up failed paths) until all k paths stand.
-  /// Needed for clean protocol comparisons: with the default partial
-  /// provisioning, SimRep(2) can start with one path and degenerate into
-  /// CurMix for the whole run.
-  bool require_full_paths = false;
+  /// The initiator's session, hardening switches included (path_length is
+  /// taken from the environment). Chaos windows are minutes long, so the
+  /// attempt budget is larger than SessionConfig's and self-healing is on
+  /// (§4.5 failure detection -> §4.1 reconstruction); auto_reconstruct off
+  /// is the paper's static regime, where redundancy alone decides
+  /// delivery. With relay_suspicion on, the harness also arms the
+  /// initiator's node cache.
+  anon::SessionConfig session{.max_construct_attempts = 500,
+                              .auto_reconstruct = true};
   NodeId initiator = 0;
   NodeId responder = 1;
 
@@ -100,13 +80,6 @@ struct ChaosConfig {
   /// kCorruptedRelayQuorum. The default matches the original scenario;
   /// the byzantine sweep varies it.
   double byzantine_probability = 0.5;
-  // Corruption-resilience toggles, forwarded into the session config (and,
-  // for relay_suspicion, armed on the initiator's node cache). All default
-  // OFF, preserving the pre-feature fingerprints bit-for-bit.
-  bool segment_auth = false;        ///< HMAC trailer per segment
-  bool verified_decode = false;     ///< digest trailer + subset-search decode
-  bool relay_suspicion = false;     ///< evidence-driven quarantine + bias
-  bool corruption_escalation = false;  ///< nack-driven re-route/rebuild
 
   /// > 0 runs a HealthScoreboard (window length = this) across the whole
   /// run; the summary and rendered table land in the result and the
@@ -120,11 +93,6 @@ struct ChaosConfig {
   /// bulk/interactive/streaming messages shaped by `workload.shape`, driven
   /// by a dedicated RNG stream forked after all legacy forks.
   workload::WorkloadConfig workload;
-  // Session-side overload knobs, forwarded into SessionConfig. Relay-side
-  // knobs live in environment.router.overload. All default OFF.
-  std::size_t max_inflight_segments = 0;  ///< bounded send queue (0 = off)
-  bool shed_low_priority = false;         ///< bulk refused at 3/4 bound
-  bool session_backpressure = false;      ///< congestion hold + neutral stalls
 };
 
 struct ChaosResult {
@@ -189,8 +157,8 @@ struct ChaosResult {
   std::string health_table;  // rendered scoreboard, empty when disabled
 
   // ---- Overload accounting (NOT part of fingerprint(): the 38-field
-  // digest predates this PR and committed baselines pin it). All zero
-  // unless the workload/overload knobs are on.
+  // digest predates the overload stack and committed baselines pin it).
+  // All zero unless the workload/overload switches are on.
   struct ClassStats {
     std::uint64_t attempts = 0;   // send_message calls for this class
     std::uint64_t accepted = 0;   // nonzero id returned

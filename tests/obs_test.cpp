@@ -320,24 +320,22 @@ TEST(OffMeansOffTest, LoopProfilerAttachedIsByteIdentical) {
   EXPECT_GE(report.types.size(), 2u);
 }
 
-// The corruption-resilience features (segment auth, verified decode, relay
-// suspicion, nack escalation) ship default OFF. A run that leaves every
-// toggle at its default — even under the byzantine scenario their code
-// paths exist for — must be byte-identical to the baseline, with the new
-// evidence series all flat at zero.
+// The corruption-resilience switches (integrity: segment auth, verified
+// decode and nack escalation; relay suspicion) ship default OFF. A run that
+// leaves both at their defaults — even under the byzantine scenario their
+// code paths exist for — must be byte-identical to the baseline, with the
+// new evidence series all flat at zero.
 TEST(OffMeansOffTest, CorruptionDefensesOffAreByteIdentical) {
   harness::ChaosConfig config = tiny_chaos(7);
   config.scenario = harness::ChaosScenario::kCorruptedRelayQuorum;
   config.measure = 8 * kMinute;
   const auto baseline = harness::run_chaos_experiment(config);
 
-  // Spell every toggle out at its default and attach a registry so the
+  // Spell both switches out at their defaults and attach a registry so the
   // evidence series can be audited after the run.
   harness::ChaosConfig spelled = config;
-  spelled.segment_auth = false;
-  spelled.verified_decode = false;
-  spelled.relay_suspicion = false;
-  spelled.corruption_escalation = false;
+  spelled.session.integrity = false;
+  spelled.session.relay_suspicion = false;
   Registry registry;
   spelled.environment.metrics = &registry;
   const auto off = harness::run_chaos_experiment(spelled);
@@ -362,12 +360,11 @@ TEST(OffMeansOffTest, CorruptionDefensesOffAreByteIdentical) {
   EXPECT_EQ(off.messages_delivered_correct + off.messages_delivered_wrong,
             off.messages_delivered);
 
-  // And the toggles are not dead: the same schedule with segment auth on
+  // And the switch is not dead: the same schedule with integrity on
   // produces tag verdicts (the fingerprint is free to differ — the wire
   // format legitimately changes).
   harness::ChaosConfig on = config;
-  on.segment_auth = true;
-  on.verified_decode = true;
+  on.session.integrity = true;
   Registry on_registry;
   on.environment.metrics = &on_registry;
   const auto tagged = harness::run_chaos_experiment(on);
@@ -454,10 +451,8 @@ TEST(OffMeansOffTest, WorkloadAndOverloadKnobsOffAreByteIdentical) {
 
   harness::ChaosConfig spelled = tiny_chaos(3);
   spelled.workload = workload::WorkloadConfig{};
-  spelled.max_inflight_segments = 0;
-  spelled.shed_low_priority = false;
-  spelled.session_backpressure = false;
-  spelled.path_fail_threshold = 0;
+  spelled.session.max_inflight_segments = 0;
+  spelled.session.path_fail_threshold = 3;
   spelled.environment.router.overload = anon::RouterConfig::OverloadConfig{};
   spelled.environment.router.pool_max_capacity = 0;
   spelled.environment.overload_obs_interval = 0;
@@ -493,14 +488,14 @@ TEST(OffMeansOffTest, WorkloadAndOverloadKnobsOffAreByteIdentical) {
   // samples (the fingerprint is free to differ — the traffic changes).
   harness::ChaosConfig on = tiny_chaos(1);  // seed 3 constructs slowly here
   on.measure = 10 * kMinute;
-  on.path_fail_threshold = 40;
+  on.session.path_fail_threshold = 40;
   on.workload.enabled = true;
   on.workload.shape = workload::LoadShape::kFlashCrowd;
   on.workload.mean_interarrival = 250 * kMillisecond;
   on.environment.router.overload.enabled = true;
   on.environment.router.overload.relay_queue_capacity = 64;
   on.environment.router.overload.drain_rate_per_s = 10.0;
-  on.environment.router.overload.shedding = true;
+  on.environment.router.overload.shed = true;
   on.environment.overload_obs_interval = 30 * kSecond;
   Registry on_registry;
   on.environment.metrics = &on_registry;

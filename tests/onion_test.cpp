@@ -159,8 +159,8 @@ TEST_P(OnionCodecTest, InPlaceFormsMatchAllocatingForms) {
 
 INSTANTIATE_TEST_SUITE_P(RealAndFast, OnionCodecTest,
                          ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Real" : "Fast";
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "Real" : "Fast";
                          });
 
 // --- Zero-allocation relay path ----------------------------------------------------
@@ -293,10 +293,9 @@ TEST(PayloadCoreWireTest, ParseRejectsLengthMismatch) {
   EXPECT_FALSE(parse_payload_core(plain).has_value());
 }
 
-// The auth trailer admits exactly three wire shapes: legacy (no trailer),
-// digest ([flags=1][digest]), and tagged ([flags=3][digest][tag]). The
-// flags byte and the serialized size must agree; any other combination is
-// a parse failure, not a fallback.
+// The auth trailer admits exactly two wire shapes: legacy (no trailer) and
+// tagged ([flags=3][digest][tag]). The flags byte and the serialized size
+// must agree; any other combination is a parse failure, not a fallback.
 TEST(PayloadCoreWireTest, AuthTrailerShapesRoundTrip) {
   PayloadCore core;
   core.message_id = 77;
@@ -313,29 +312,31 @@ TEST(PayloadCoreWireTest, AuthTrailerShapesRoundTrip) {
 
   const Bytes legacy = serialize_payload_core(core);  // kAuthNone default
 
-  core.auth_flags = PayloadCore::kAuthDigest;
-  const Bytes digest = serialize_payload_core(core);
-  EXPECT_EQ(digest.size(), legacy.size() + 1 + crypto::kMessageDigestSize);
-
   core.auth_flags = PayloadCore::kAuthTagged;
   const Bytes tagged = serialize_payload_core(core);
-  EXPECT_EQ(tagged.size(),
-            digest.size() + crypto::kSegmentTagSize);
+  EXPECT_EQ(tagged.size(), legacy.size() + 1 + crypto::kMessageDigestSize +
+                               crypto::kSegmentTagSize);
 
   const auto parsed_legacy = parse_payload_core(legacy);
   ASSERT_TRUE(parsed_legacy.has_value());
   EXPECT_EQ(parsed_legacy->auth_flags, PayloadCore::kAuthNone);
-
-  const auto parsed_digest = parse_payload_core(digest);
-  ASSERT_TRUE(parsed_digest.has_value());
-  EXPECT_EQ(parsed_digest->auth_flags, PayloadCore::kAuthDigest);
-  EXPECT_EQ(parsed_digest->message_digest, core.message_digest);
 
   const auto parsed_tagged = parse_payload_core(tagged);
   ASSERT_TRUE(parsed_tagged.has_value());
   EXPECT_EQ(parsed_tagged->auth_flags, PayloadCore::kAuthTagged);
   EXPECT_EQ(parsed_tagged->message_digest, core.message_digest);
   EXPECT_EQ(parsed_tagged->auth_tag, core.auth_tag);
+
+  // The retired digest-only shape ([flags=1][digest], no tag) is not a
+  // trailer any more: a legacy core with those 17 bytes appended fails
+  // parsing whatever its flags byte says.
+  Bytes digest_only = legacy;
+  digest_only.push_back(1);
+  digest_only.insert(digest_only.end(), core.message_digest.begin(),
+                     core.message_digest.end());
+  EXPECT_FALSE(parse_payload_core(digest_only).has_value());
+  digest_only[legacy.size()] = PayloadCore::kAuthTagged;
+  EXPECT_FALSE(parse_payload_core(digest_only).has_value());
 }
 
 TEST(PayloadCoreWireTest, AuthTrailerRejectsFlagSizeMismatch) {
@@ -346,25 +347,23 @@ TEST(PayloadCoreWireTest, AuthTrailerRejectsFlagSizeMismatch) {
   core.auth_flags = PayloadCore::kAuthTagged;
   Bytes tagged = serialize_payload_core(core);
 
-  // Flip the flags byte (it sits right after the segment bytes) to the
-  // digest shape: the size now claims tagged but the flags claim digest.
+  // The flags byte sits right after the segment bytes. At tagged size,
+  // only kAuthTagged parses: the retired digest value 1, the unknown 2 and
+  // the legacy 0 are all rejected outright.
   const std::size_t flags_at =
       tagged.size() - 1 - crypto::kMessageDigestSize - crypto::kSegmentTagSize;
   ASSERT_EQ(tagged[flags_at], PayloadCore::kAuthTagged);
-  tagged[flags_at] = PayloadCore::kAuthDigest;
-  EXPECT_FALSE(parse_payload_core(tagged).has_value());
-  // Unknown flags value: rejected outright.
-  tagged[flags_at] = 2;
-  EXPECT_FALSE(parse_payload_core(tagged).has_value());
+  for (const std::uint8_t flags : {0, 1, 2, 4, 0xff}) {
+    tagged[flags_at] = flags;
+    EXPECT_FALSE(parse_payload_core(tagged).has_value()) << int{flags};
+  }
   tagged[flags_at] = PayloadCore::kAuthTagged;
   EXPECT_TRUE(parse_payload_core(tagged).has_value());
 
-  // Truncating the tag (tagged shape, digest-sized buffer with flags=3)
-  // is also a mismatch.
-  core.auth_flags = PayloadCore::kAuthDigest;
-  Bytes digest_shape = serialize_payload_core(core);
-  digest_shape[flags_at] = PayloadCore::kAuthTagged;
-  EXPECT_FALSE(parse_payload_core(digest_shape).has_value());
+  // Truncating the tag leaves a core whose size matches no shape.
+  Bytes truncated = tagged;
+  truncated.resize(truncated.size() - crypto::kSegmentTagSize);
+  EXPECT_FALSE(parse_payload_core(truncated).has_value());
 }
 
 }  // namespace

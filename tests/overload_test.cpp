@@ -164,8 +164,8 @@ ChaosConfig overload_chaos(std::uint64_t seed) {
   config.warmup = 5 * kMinute;
   config.measure = 6 * kMinute;
   config.send_interval = 10 * kSecond;
-  config.adaptive = true;
-  config.path_fail_threshold = 40;
+  config.session.adaptive = true;
+  config.session.path_fail_threshold = 40;
   config.spec = anon::ProtocolSpec::simera(4, 2, anon::MixChoice::kRandom);
   config.workload.enabled = true;
   config.workload.shape = workload::LoadShape::kFlashCrowd;
@@ -189,7 +189,7 @@ void expect_accounting_closed(const ChaosResult& result) {
 
 TEST(OverloadTest, ShedPriorityOrderNeverTouchesControl) {
   ChaosConfig config = overload_chaos(1);
-  config.environment.router.overload.shedding = true;
+  config.environment.router.overload.shed = true;
   const auto result = run_chaos_experiment(config);
   expect_accounting_closed(result);
 
@@ -213,9 +213,9 @@ TEST(OverloadTest, ShedPriorityOrderNeverTouchesControl) {
 
 TEST(OverloadTest, TailDropArmStillNeverShedsControl) {
   ChaosConfig config = overload_chaos(1);
-  // shedding=false: a saturated relay tail-drops every payload class
+  // shed=false: a saturated relay tail-drops every payload class
   // indiscriminately — the collapse arm. The control-plane immunity is not
-  // part of the policy knob; it is the invariant floor.
+  // part of the shed switch; it is the invariant floor.
   const auto result = run_chaos_experiment(config);
   expect_accounting_closed(result);
   EXPECT_GT(result.relay_sheds_bulk + result.relay_sheds_streaming +
@@ -226,9 +226,8 @@ TEST(OverloadTest, TailDropArmStillNeverShedsControl) {
 
 TEST(OverloadTest, BackpressurePropagatesAndStallsStaySuspicionNeutral) {
   ChaosConfig config = overload_chaos(1);
-  config.environment.router.overload.shedding = true;
-  config.environment.router.overload.backpressure = true;
-  config.session_backpressure = true;
+  config.environment.router.overload.shed = true;
+  config.session.max_inflight_segments = 256;
   const auto result = run_chaos_experiment(config);
   expect_accounting_closed(result);
 
@@ -242,9 +241,8 @@ TEST(OverloadTest, BackpressurePropagatesAndStallsStaySuspicionNeutral) {
 
 TEST(OverloadTest, SessionSendBoundShedsAtTheSource) {
   ChaosConfig config = overload_chaos(1);
-  config.environment.router.overload.shedding = true;
-  config.max_inflight_segments = 24;  // tight: n=6 segments per message
-  config.shed_low_priority = true;
+  config.environment.router.overload.shed = true;
+  config.session.max_inflight_segments = 24;  // tight: n=6 per message
   const auto result = run_chaos_experiment(config);
   expect_accounting_closed(result);
 
@@ -263,16 +261,15 @@ TEST(OverloadTest, SessionSendBoundShedsAtTheSource) {
 
 TEST(OverloadTest, AdmissionControlRefusesConstructionsAtSaturatedRelays) {
   ChaosConfig config = overload_chaos(1);
-  config.environment.router.overload.shedding = true;
-  config.environment.router.overload.admission_control = true;
-  // Slow-draining, low-threshold relays: any relay that recently carried
-  // traffic refuses new constructions for a while. Leave the session's
-  // default failure threshold so paths DO fail during the flash and the
-  // rebuilds probe those still-loaded relays.
+  config.environment.router.overload.shed = true;
+  // Small, slow-draining relays: any relay that recently carried traffic
+  // refuses new constructions for a while. Restore the session's default
+  // failure threshold so paths DO fail during the flash and the rebuilds
+  // probe those still-loaded relays.
   config.environment.router.overload.relay_queue_capacity = 16;
   config.environment.router.overload.drain_rate_per_s = 0.5;
-  config.environment.router.overload.admission_threshold = 0.1;
-  config.path_fail_threshold = 0;
+  config.session.path_fail_threshold =
+      anon::SessionConfig{}.path_fail_threshold;
   const auto result = run_chaos_experiment(config);
   ASSERT_TRUE(result.constructed);
   EXPECT_EQ(result.messages_unaccounted, 0u);
@@ -289,9 +286,8 @@ TEST(OverloadTest, AdmissionControlRefusesConstructionsAtSaturatedRelays) {
 // seed reproduces the same run, counters and all.
 TEST(OverloadTest, OverloadRunsAreDeterministic) {
   ChaosConfig config = overload_chaos(1);
-  config.environment.router.overload.shedding = true;
-  config.environment.router.overload.backpressure = true;
-  config.session_backpressure = true;
+  config.environment.router.overload.shed = true;
+  config.session.max_inflight_segments = 256;
   const auto a = run_chaos_experiment(config);
   const auto b = run_chaos_experiment(config);
   EXPECT_EQ(a.fingerprint(), b.fingerprint());

@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <map>
+#include <optional>
 #include <stdexcept>
 
 #include "anon/onion.hpp"
@@ -12,6 +13,7 @@
 #include "anon/rendezvous.hpp"
 #include "anon/router.hpp"
 #include "anon/session.hpp"
+#include "crypto/segment_auth.hpp"
 #include "membership/gossip.hpp"
 #include "membership/node_cache.hpp"
 #include "net/demux.hpp"
@@ -119,6 +121,110 @@ TEST(ParserFuzzTest, BitFlippedValidStructuresParseOrRejectCleanly) {
   }
 }
 
+/// A valid tagged payload core: the tag is computed exactly as the
+/// initiator's session does, so verify_tag() holds on the original.
+anon::PayloadCore tagged_core() {
+  anon::PayloadCore core;
+  core.message_id = 0x5eed;
+  core.segment_index = 1;
+  core.original_size = 100;
+  core.needed_segments = 2;
+  core.total_segments = 4;
+  core.segment = Bytes(50, 0x6b);
+  core.responder_key[0] = 0x42;
+  core.auth_flags = anon::PayloadCore::kAuthTagged;
+  const Bytes message(100, 0x6b);
+  core.message_digest = crypto::message_digest(message);
+  core.auth_tag = crypto::segment_tag(
+      crypto::derive_segment_auth_key(core.responder_key), core.message_id,
+      core.segment_index, core.original_size, core.needed_segments,
+      core.total_segments, core.message_digest, core.segment);
+  return core;
+}
+
+/// The responder's check: the tag keyed from the core's own R_{L+1}.
+bool verify_tag(const anon::PayloadCore& core) {
+  return crypto::segment_tag_equal(
+      crypto::segment_tag(crypto::derive_segment_auth_key(core.responder_key),
+                          core.message_id, core.segment_index,
+                          core.original_size, core.needed_segments,
+                          core.total_segments, core.message_digest,
+                          core.segment),
+      core.auth_tag);
+}
+
+TEST(ParserFuzzTest, PayloadCoreAcceptsOnlyLegacyAndTaggedShapes) {
+  anon::PayloadCore legacy_core = tagged_core();
+  legacy_core.auth_flags = anon::PayloadCore::kAuthNone;
+  const Bytes legacy = anon::serialize_payload_core(legacy_core);
+  ASSERT_TRUE(anon::parse_payload_core(legacy).has_value());
+  const Bytes tagged = anon::serialize_payload_core(tagged_core());
+  ASSERT_EQ(tagged.size(), legacy.size() + 33);
+
+  // Every flags byte at tagged size other than kAuthTagged fails; 0 too,
+  // since a legacy core carries no trailer at all.
+  for (int flags = 0; flags < 256; ++flags) {
+    Bytes mutated = tagged;
+    mutated[legacy.size()] = static_cast<std::uint8_t>(flags);
+    const auto parsed = anon::parse_payload_core(mutated);
+    EXPECT_EQ(parsed.has_value(), flags == anon::PayloadCore::kAuthTagged)
+        << flags;
+  }
+  // No other trailer length parses, whatever the flags byte says — the
+  // retired 17-byte digest-only trailer ([flags=1][digest]) included.
+  for (std::size_t extra = 1; extra < 33; ++extra) {
+    for (const int flags : {0, 1, 2, 3, 0xff}) {
+      Bytes mutated = legacy;
+      mutated.push_back(static_cast<std::uint8_t>(flags));
+      mutated.resize(legacy.size() + extra, 0x5a);
+      EXPECT_FALSE(anon::parse_payload_core(mutated).has_value())
+          << "extra=" << extra << " flags=" << flags;
+    }
+  }
+}
+
+TEST(ParserFuzzTest, MutatedAuthTrailerParsesOrRejectsButNeverVerifies) {
+  // Seeded mutations of a valid tagged core, aimed at the trailer: byte
+  // flips, truncation and extension. Each mutant must parse or reject
+  // without throwing, and a mutant that parses with any altered trailer
+  // byte must fail the responder's tag check.
+  const anon::PayloadCore original = tagged_core();
+  ASSERT_TRUE(verify_tag(original));
+  const Bytes plain = anon::serialize_payload_core(original);
+  const std::size_t trailer_at = plain.size() - 33;
+  Rng rng(6);
+  std::size_t parsed_mutants = 0;
+  for (int i = 0; i < 5000; ++i) {
+    Bytes mutated = plain;
+    switch (rng.next_below(3)) {
+      case 0: {  // flip 1-3 trailer bytes
+        const std::size_t flips = 1 + rng.next_below(3);
+        for (std::size_t f = 0; f < flips; ++f) {
+          const std::size_t at = trailer_at + rng.next_below(33);
+          mutated[at] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+        }
+        break;
+      }
+      case 1:  // truncate into the trailer
+        mutated.resize(trailer_at + rng.next_below(33));
+        break;
+      default: {  // extend past it
+        const Bytes tail = random_bytes(rng, 40);
+        mutated.insert(mutated.end(), tail.begin(), tail.end());
+        break;
+      }
+    }
+    std::optional<anon::PayloadCore> parsed;
+    EXPECT_NO_THROW(parsed = anon::parse_payload_core(mutated));
+    if (!parsed.has_value() || mutated == plain) continue;
+    ++parsed_mutants;
+    EXPECT_FALSE(parsed->auth_flags == anon::PayloadCore::kAuthTagged &&
+                 verify_tag(*parsed))
+        << "mutant " << i << " forged a valid tag";
+  }
+  EXPECT_GT(parsed_mutants, 0u);  // the flips reached the verifier
+}
+
 // --- router under hostile traffic ---------------------------------------------------
 
 struct HostileFixture {
@@ -172,6 +278,66 @@ TEST(HostileTrafficTest, RouterIgnoresGarbageDatagrams) {
   session.send_message(bytes_of("still alive"));
   fx.simulator.run_until(fx.simulator.now() + 10 * kSecond);
   EXPECT_TRUE(delivered);
+}
+
+// The plain backpressure frame ([type=8][sid:8][class:1], reverse channel)
+// carries no authentication: any node can send one. Seeded mutations of it —
+// real and random sids, every class byte, truncated and padded lengths —
+// aimed at the initiator and at every relay must be absorbed without a
+// throw, and the session must keep delivering afterwards.
+TEST(HostileTrafficTest, MutatedBackpressureFramesAreAbsorbed) {
+  HostileFixture fx;
+  anon::SessionConfig config =
+      anon::ProtocolSpec::simera(2, 2, anon::MixChoice::kRandom)
+          .session_config({});
+  config.max_inflight_segments = 64;  // the backpressure reaction is on
+  anon::Session session(*fx.router, fx.cache, 0, 1, config, Rng(15));
+  std::size_t delivered = 0;
+  fx.router->set_message_handler(
+      [&](const anon::ReceivedMessage&) { ++delivered; });
+  session.construct([&](bool, std::size_t) {});
+  fx.simulator.run_until(fx.simulator.now() + 10 * kSecond);
+  ASSERT_TRUE(session.ready());
+
+  std::vector<StreamId> sids;
+  for (const auto& info : session.paths()) sids.push_back(info.sid);
+  Rng rng(16);
+  std::size_t aimed = 0;
+  for (int i = 0; i < 3000; ++i) {
+    Bytes frame;
+    frame.push_back(8);
+    const bool real = rng.bernoulli(0.5);
+    put_u64be(frame, real ? sids[rng.next_below(sids.size())]
+                          : rng.next_u64());
+    frame.push_back(static_cast<std::uint8_t>(rng.next_below(256)));
+    switch (rng.next_below(4)) {
+      case 0: frame.resize(rng.next_below(frame.size())); break;
+      case 1: {
+        const Bytes tail = random_bytes(rng, 16);
+        frame.insert(frame.end(), tail.begin(), tail.end());
+        break;
+      }
+      default: break;
+    }
+    // Half aim at the initiator (node 0), half at random relays.
+    const auto to = rng.bernoulli(0.5)
+                        ? NodeId{0}
+                        : static_cast<NodeId>(rng.next_below(16));
+    if (to == 0 && real && frame.size() >= 10) ++aimed;
+    fx.demux.send(net::Channel::kAnonReverse,
+                  static_cast<NodeId>(rng.next_below(16)), to,
+                  std::move(frame));
+  }
+  EXPECT_NO_THROW(fx.simulator.run_until(fx.simulator.now() + kMinute));
+  // Frames naming a live path reached the session; the rest were dropped.
+  EXPECT_GT(session.backpressure_signals(), 0u);
+  EXPECT_LE(session.backpressure_signals(), aimed);
+
+  // Congestion holds only defer bulk; an interactive send still gets
+  // through once the holds lapse.
+  ASSERT_NE(session.send_message(bytes_of("after the storm")), 0u);
+  fx.simulator.run_until(fx.simulator.now() + 10 * kSecond);
+  EXPECT_EQ(delivered, 1u);
 }
 
 // Transport decorator that records every datagram so tests can replay
