@@ -62,25 +62,6 @@ std::size_t crossover_k(double p, std::size_t r, std::size_t k_max) {
   return 0;
 }
 
-ParameterChoice best_effort_parameters(double node_availability,
-                                       std::size_t path_length,
-                                       std::size_t max_r,
-                                       std::size_t max_k) {
-  const double p = path_success_probability(node_availability, path_length);
-  ParameterChoice best;
-  for (std::size_t r = 1; r <= max_r; ++r) {
-    for (std::size_t k = r; k <= max_k; k += r) {
-      const double success =
-          simera_success_probability(k, static_cast<double>(r), p);
-      // Strictly-better wins; ties keep the earlier (cheaper r, smaller k).
-      if (success > best.success + 1e-12) {
-        best = ParameterChoice{k, r, success, static_cast<double>(r)};
-      }
-    }
-  }
-  return best;
-}
-
 std::vector<ParameterChoice> advise_parameters(double node_availability,
                                                std::size_t path_length,
                                                double target_success,

@@ -46,12 +46,4 @@ std::vector<ParameterChoice> advise_parameters(double node_availability,
                                                std::size_t max_r = 8,
                                                std::size_t max_k = 32);
 
-/// Best-effort fallback when no (k, r) within budget reaches the target:
-/// the single choice maximizing P(k) (ties broken toward cheaper r, then
-/// smaller k). Never empty for max_r, max_k >= 1.
-ParameterChoice best_effort_parameters(double node_availability,
-                                       std::size_t path_length,
-                                       std::size_t max_r = 8,
-                                       std::size_t max_k = 32);
-
 }  // namespace p2panon::analysis

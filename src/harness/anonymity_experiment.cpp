@@ -68,8 +68,13 @@ AnonymityResult run_anonymity_experiment(const AnonymityConfig& config) {
       n > 2 ? static_cast<double>(model.count()) / static_cast<double>(n - 2)
             : 0.0;
 
-  anon::SessionConfig base_session = config.session;
+  anon::SessionConfig base_session;
   base_session.path_length = env_config.path_length;
+  base_session.max_construct_attempts = 40;
+  // All k paths must stand, or SimEra trials would draw fewer than k
+  // first relays and the 1-(1-f)^k comparison would be against the wrong
+  // exponent.
+  base_session.require_full_construction = true;
   const anon::SessionConfig session_config =
       config.spec.session_config(base_session);
 

@@ -21,7 +21,6 @@
 #include "adversary/attacks.hpp"
 #include "adversary/link_observer.hpp"
 #include "anon/protocols.hpp"
-#include "anon/session.hpp"
 #include "harness/environment.hpp"
 
 namespace p2panon::harness {
@@ -49,13 +48,6 @@ struct AnonymityConfig {
   SimDuration trial_send_window = 25 * kSecond;  // sends within a trial
   SimDuration send_interval = 5 * kSecond;
   std::size_t message_size = 512;
-
-  /// Every trial's session (path_length is taken from the environment).
-  /// All k paths must stand, or SimEra trials would draw fewer than k
-  /// first relays and the 1-(1-f)^k comparison would be against the wrong
-  /// exponent.
-  anon::SessionConfig session{.max_construct_attempts = 40,
-                              .require_full_construction = true};
 
   /// Hold the whole network up for the run. Default ON: validating the
   /// Eq. 4 / 1-(1-f)^k closed forms needs each trial to draw exactly k

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "anon/session.hpp"
@@ -146,6 +147,17 @@ std::string ChaosResult::fingerprint() const {
 }
 
 ChaosResult run_chaos_experiment(const ChaosConfig& config) {
+  const anon::SessionConfig defaults;
+  if (config.session.path_length != defaults.path_length ||
+      config.session.erasure.m != defaults.erasure.m ||
+      config.session.erasure.n != defaults.erasure.n ||
+      config.session.erasure.k != defaults.erasure.k ||
+      config.session.mix_choice != defaults.mix_choice) {
+    throw std::invalid_argument(
+        "ChaosConfig::session: path_length comes from environment, "
+        "erasure and mix_choice from spec");
+  }
+
   static const auto kSendEvent = obs::capacity::event_type("harness.send");
   static const auto kHealthEvent =
       obs::capacity::event_type("harness.health");

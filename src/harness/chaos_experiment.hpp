@@ -64,13 +64,14 @@ struct ChaosConfig {
   SimDuration quiesce = 2 * kMinute;   // drain in-flight traffic
   SimDuration send_interval = 5 * kSecond;
   std::size_t message_size = 512;
-  /// The initiator's session, hardening switches included (path_length is
-  /// taken from the environment). Chaos windows are minutes long, so the
-  /// attempt budget is larger than SessionConfig's and self-healing is on
-  /// (§4.5 failure detection -> §4.1 reconstruction); auto_reconstruct off
-  /// is the paper's static regime, where redundancy alone decides
-  /// delivery. With relay_suspicion on, the harness also arms the
-  /// initiator's node cache.
+  /// The initiator's session, hardening switches included. path_length is
+  /// taken from the environment and erasure/mix_choice from `spec`; the
+  /// harness throws std::invalid_argument if any of the three is set here.
+  /// Chaos windows are minutes long, so the attempt budget is larger than
+  /// SessionConfig's and self-healing is on (§4.5 failure detection ->
+  /// §4.1 reconstruction); auto_reconstruct off is the paper's static
+  /// regime, where redundancy alone decides delivery. With relay_suspicion
+  /// on, the harness also arms the initiator's node cache.
   anon::SessionConfig session{.max_construct_attempts = 500,
                               .auto_reconstruct = true};
   NodeId initiator = 0;

@@ -3,6 +3,8 @@
 // paper's fixed-timeout configuration and the adaptive RTO/backoff mode.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "harness/chaos_experiment.hpp"
 
 namespace p2panon::harness {
@@ -109,6 +111,21 @@ TEST(ChaosDeterminismTest, DifferentSeedsDiverge) {
   const auto b = run_chaos_experiment(
       small_chaos(ChaosScenario::kFlashCrowdCrash, 23, false));
   EXPECT_NE(a.fingerprint(), b.fingerprint());
+}
+
+// path_length comes from the environment and erasure/mix_choice from the
+// spec; a value set on ChaosConfig::session would be silently replaced,
+// so the harness refuses it before building anything.
+TEST(ChaosConfigTest, RefusesSessionFieldsOwnedElsewhere) {
+  auto config = small_chaos(ChaosScenario::kFlashCrowdCrash, 1, false);
+  config.session.path_length = 5;
+  EXPECT_THROW(run_chaos_experiment(config), std::invalid_argument);
+  config = small_chaos(ChaosScenario::kFlashCrowdCrash, 1, false);
+  config.session.erasure = anon::ErasureParams::simrep(2);
+  EXPECT_THROW(run_chaos_experiment(config), std::invalid_argument);
+  config = small_chaos(ChaosScenario::kFlashCrowdCrash, 1, false);
+  config.session.mix_choice = anon::MixChoice::kBiased;
+  EXPECT_THROW(run_chaos_experiment(config), std::invalid_argument);
 }
 
 // Redundancy ordering (paper's core claim, chaos edition): erasure coding

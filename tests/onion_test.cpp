@@ -326,17 +326,6 @@ TEST(PayloadCoreWireTest, AuthTrailerShapesRoundTrip) {
   EXPECT_EQ(parsed_tagged->auth_flags, PayloadCore::kAuthTagged);
   EXPECT_EQ(parsed_tagged->message_digest, core.message_digest);
   EXPECT_EQ(parsed_tagged->auth_tag, core.auth_tag);
-
-  // The retired digest-only shape ([flags=1][digest], no tag) is not a
-  // trailer any more: a legacy core with those 17 bytes appended fails
-  // parsing whatever its flags byte says.
-  Bytes digest_only = legacy;
-  digest_only.push_back(1);
-  digest_only.insert(digest_only.end(), core.message_digest.begin(),
-                     core.message_digest.end());
-  EXPECT_FALSE(parse_payload_core(digest_only).has_value());
-  digest_only[legacy.size()] = PayloadCore::kAuthTagged;
-  EXPECT_FALSE(parse_payload_core(digest_only).has_value());
 }
 
 TEST(PayloadCoreWireTest, AuthTrailerRejectsFlagSizeMismatch) {
@@ -344,26 +333,36 @@ TEST(PayloadCoreWireTest, AuthTrailerRejectsFlagSizeMismatch) {
   core.needed_segments = 1;
   core.total_segments = 1;
   core.segment = Bytes(16, 0x11);
+  const Bytes legacy = serialize_payload_core(core);
   core.auth_flags = PayloadCore::kAuthTagged;
-  Bytes tagged = serialize_payload_core(core);
+  const Bytes tagged = serialize_payload_core(core);
 
   // The flags byte sits right after the segment bytes. At tagged size,
-  // only kAuthTagged parses: the retired digest value 1, the unknown 2 and
-  // the legacy 0 are all rejected outright.
-  const std::size_t flags_at =
-      tagged.size() - 1 - crypto::kMessageDigestSize - crypto::kSegmentTagSize;
+  // every flags byte but kAuthTagged is rejected outright: the retired
+  // digest value 1 and the legacy 0 included.
+  const std::size_t flags_at = legacy.size();
   ASSERT_EQ(tagged[flags_at], PayloadCore::kAuthTagged);
-  for (const std::uint8_t flags : {0, 1, 2, 4, 0xff}) {
-    tagged[flags_at] = flags;
-    EXPECT_FALSE(parse_payload_core(tagged).has_value()) << int{flags};
+  for (int flags = 0; flags < 256; ++flags) {
+    Bytes mutated = tagged;
+    mutated[flags_at] = static_cast<std::uint8_t>(flags);
+    EXPECT_EQ(parse_payload_core(mutated).has_value(),
+              flags == PayloadCore::kAuthTagged)
+        << flags;
   }
-  tagged[flags_at] = PayloadCore::kAuthTagged;
-  EXPECT_TRUE(parse_payload_core(tagged).has_value());
 
-  // Truncating the tag leaves a core whose size matches no shape.
-  Bytes truncated = tagged;
-  truncated.resize(truncated.size() - crypto::kSegmentTagSize);
-  EXPECT_FALSE(parse_payload_core(truncated).has_value());
+  // No other trailer length parses, whatever the flags byte says: the
+  // retired 17-byte digest-only trailer ([flags=1][digest]) and every
+  // truncation of the tagged one included.
+  for (std::size_t extra = 1; extra < tagged.size() - legacy.size();
+       ++extra) {
+    for (const int flags : {0, 1, 2, 3, 0xff}) {
+      Bytes mutated = legacy;
+      mutated.push_back(static_cast<std::uint8_t>(flags));
+      mutated.resize(legacy.size() + extra, 0x5a);
+      EXPECT_FALSE(parse_payload_core(mutated).has_value())
+          << "extra=" << extra << " flags=" << flags;
+    }
+  }
 }
 
 }  // namespace

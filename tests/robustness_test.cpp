@@ -153,36 +153,6 @@ bool verify_tag(const anon::PayloadCore& core) {
       core.auth_tag);
 }
 
-TEST(ParserFuzzTest, PayloadCoreAcceptsOnlyLegacyAndTaggedShapes) {
-  anon::PayloadCore legacy_core = tagged_core();
-  legacy_core.auth_flags = anon::PayloadCore::kAuthNone;
-  const Bytes legacy = anon::serialize_payload_core(legacy_core);
-  ASSERT_TRUE(anon::parse_payload_core(legacy).has_value());
-  const Bytes tagged = anon::serialize_payload_core(tagged_core());
-  ASSERT_EQ(tagged.size(), legacy.size() + 33);
-
-  // Every flags byte at tagged size other than kAuthTagged fails; 0 too,
-  // since a legacy core carries no trailer at all.
-  for (int flags = 0; flags < 256; ++flags) {
-    Bytes mutated = tagged;
-    mutated[legacy.size()] = static_cast<std::uint8_t>(flags);
-    const auto parsed = anon::parse_payload_core(mutated);
-    EXPECT_EQ(parsed.has_value(), flags == anon::PayloadCore::kAuthTagged)
-        << flags;
-  }
-  // No other trailer length parses, whatever the flags byte says — the
-  // retired 17-byte digest-only trailer ([flags=1][digest]) included.
-  for (std::size_t extra = 1; extra < 33; ++extra) {
-    for (const int flags : {0, 1, 2, 3, 0xff}) {
-      Bytes mutated = legacy;
-      mutated.push_back(static_cast<std::uint8_t>(flags));
-      mutated.resize(legacy.size() + extra, 0x5a);
-      EXPECT_FALSE(anon::parse_payload_core(mutated).has_value())
-          << "extra=" << extra << " flags=" << flags;
-    }
-  }
-}
-
 TEST(ParserFuzzTest, MutatedAuthTrailerParsesOrRejectsButNeverVerifies) {
   // Seeded mutations of a valid tagged core, aimed at the trailer: byte
   // flips, truncation and extension. Each mutant must parse or reject
